@@ -18,33 +18,41 @@ from pathlib import Path
 from . import hilbert, oracle, registry, semantics, transform
 from .oracle import SearchBudget
 from .semantics import dump_model, frame_class, load_model
-from .syntax import parse, print_formula
+from .syntax import Atom, parse, print_formula
 
 
 class UsageError(Exception):
     pass
 
 
-def _default_max_states() -> int:
-    raw = os.environ.get("DOXA_MAX_STATES")
-    if raw is None:
-        return 3
+def _positive_int(text: str) -> int:
+    """An integer of at least 1: the ``--max-states`` argument type."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _max_states(args) -> int:
+    """``--max-states``, else ``DOXA_MAX_STATES``, else 3."""
+    if args.max_states is not None:
+        return args.max_states
     try:
-        value = int(raw)
-        if value < 1:
-            raise ValueError
-    except ValueError:
-        raise UsageError(f"DOXA_MAX_STATES must be a positive integer, got {raw!r}")
-    return value
+        return _positive_int(os.environ.get("DOXA_MAX_STATES", "3"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"DOXA_MAX_STATES {exc}")
 
 
-def _budget(args) -> SearchBudget:
-    max_states = args.max_states if args.max_states is not None else _default_max_states()
-    atoms = tuple(a.strip() for a in args.atoms.split(",")) if getattr(args, "atoms", None) else ("p", "q", "r")
+def _budget(args, atoms: tuple[str, ...] = ("p", "q", "r")) -> SearchBudget:
+    """The search budget of a command; ``atoms`` applies without ``--atoms``."""
+    if getattr(args, "atoms", None):
+        try:
+            atoms = tuple(Atom(a.strip()).name for a in args.atoms.split(","))
+        except ValueError as exc:
+            raise UsageError(f"--atoms: {exc}")
     depth = getattr(args, "depth", None)
     size = getattr(args, "size", None)
     return SearchBudget(
-        max_states=max_states,
+        max_states=_max_states(args),
         atoms=atoms,
         max_modal_depth=depth if depth is not None else 2,
         max_size=size if size is not None else 7,
@@ -185,6 +193,7 @@ def cmd_prove(args) -> int:
 
 def cmd_transform(args) -> int:
     model, designated = _read_model(args.model)
+    budget = _budget(args, tuple(sorted(model.valuation)) or ("p",)) if args.verify else None
     root = args.state if args.state is not None else designated
     try:
         if args.operation == "closure":
@@ -201,15 +210,7 @@ def cmd_transform(args) -> int:
     print(dump_model(result, designated=root if root in result.frame.states else None))
     if not args.verify:
         return 0
-    budget = _budget(args)
-    atoms = tuple(args.atoms.split(",")) if args.atoms else tuple(sorted(model.valuation)) or ("p",)
-    corpus_budget = SearchBudget(
-        max_states=budget.max_states,
-        atoms=atoms,
-        max_modal_depth=budget.max_modal_depth,
-        max_size=budget.max_size,
-    )
-    report = transform.verify_preservation(model, result, budget=corpus_budget)
+    report = transform.verify_preservation(model, result, budget=budget)
     if report.ok:
         print(f"preservation: ok over {report.formulas_checked} formulas")
         return 0
@@ -220,7 +221,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_verify_paper(args) -> int:
-    max_states = args.max_states if args.max_states is not None else _default_max_states()
+    max_states = _max_states(args)
     results = registry.run_checks(max_states=max_states, pattern=args.filter)
     if args.format == "json":
         print(
@@ -259,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget_flags(p, atoms=True, corpus=False):
-        p.add_argument("--max-states", type=int, default=None, help="state budget (default: DOXA_MAX_STATES or 3)")
+        p.add_argument("--max-states", type=_positive_int, default=None, help="state budget (default: DOXA_MAX_STATES or 3)")
         if atoms:
             p.add_argument("--atoms", default=None, help="comma-separated atom list for valuations")
         if corpus:
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-paper", help="run the built-in regression battery")
     p.add_argument("--filter", default=None, help="glob over check ids")
-    p.add_argument("--max-states", type=int, default=None)
+    p.add_argument("--max-states", type=_positive_int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify_paper)
 
@@ -327,6 +328,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # Parsing and evaluation recurse once per nesting level.
+        print("error: formula nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
+from .oracle import bit_pattern
 from .semantics import FrameClass, frame_class
 from .syntax import (
     FI,
@@ -54,14 +55,11 @@ _LETTER_LIMIT = 20
 def _abstraction_letters(f: Formula) -> list[Formula]:
     """Maximal non-Boolean subformulas (atoms and modal formulas), in
     first-occurrence order."""
-    letters: list[Formula] = []
-    seen: set[Formula] = set()
+    letters: dict[Formula, None] = {}
 
     def walk(g: Formula) -> None:
         if isinstance(g, (Atom, W, Box, IR, FI)):
-            if g not in seen:
-                seen.add(g)
-                letters.append(g)
+            letters.setdefault(g)
         elif isinstance(g, Not):
             walk(g.arg)
         elif isinstance(g, (And, Or, Imp, Iff)):
@@ -69,7 +67,7 @@ def _abstraction_letters(f: Formula) -> list[Formula]:
             walk(g.right)
 
     walk(f)
-    return letters
+    return list(letters)
 
 
 def is_tautology(f: Formula) -> bool:
@@ -81,17 +79,9 @@ def is_tautology(f: Formula) -> bool:
         )
     rows = 1 << len(letters)
     full = (1 << rows) - 1
-    # Truth-table columns packed into ints: bit v = value on row v.
-    column = {}
-    for i, letter in enumerate(letters):
-        ones = (1 << (1 << i)) - 1
-        col = 0
-        pos = 1 << i
-        step = 1 << (i + 1)
-        while pos < rows:
-            col |= ones << pos
-            pos += step
-        column[letter] = col
+    # Truth-table columns packed into ints: bit v = value on row v.  They
+    # are not cached: a table may have 2^20 rows.
+    column = {letter: bit_pattern(i, rows) for i, letter in enumerate(letters)}
 
     def go(g: Formula) -> int:
         if g in column:

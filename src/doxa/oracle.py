@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator, Sequence
+from operator import and_
+from typing import Iterable, Iterator, Sequence
 
 from . import semantics
 from .semantics import ALL_FRAMES, Frame, FrameClass, Model
@@ -130,17 +131,36 @@ def model_at(frame: Frame, atoms: tuple[str, ...], index: int) -> Model:
 # Bit-parallel evaluation over all valuations of a frame at once
 
 
-@lru_cache(maxsize=4096)
-def _bit_pattern(bit: int, rows: int) -> int:
-    """Int whose row ``v`` is set iff bit ``bit`` of ``v`` is set."""
-    ones = (1 << (1 << bit)) - 1
-    out = 0
-    pos = 1 << bit
-    step = 1 << (bit + 1)
-    while pos < rows:
-        out |= ones << pos
-        pos += step
+def bit_pattern(bit: int, rows: int) -> int:
+    """Int whose bit ``v`` is set iff bit ``bit`` of ``v`` is, for ``v < rows``.
+
+    ``rows`` is a power of two.  The pattern is built by doubling one
+    period, in O(log rows) big-int operations.
+    """
+    period = 2 << bit
+    if period > rows:
+        return 0
+    out = ((1 << (1 << bit)) - 1) << (1 << bit)
+    while period < rows:
+        out |= out << period
+        period <<= 1
     return out
+
+
+# Frame evaluators share atom columns across frames of one size.
+_bit_pattern = lru_cache(maxsize=4096)(bit_pattern)
+
+
+def least_row(cols: Iterable[int]) -> tuple[int, int] | None:
+    """Least ``(valuation, state index)`` among the set bits of per-state
+    columns, or None: the witness order of every search and battery."""
+    best = None
+    for i, c in enumerate(cols):
+        if c:
+            v = (c & -c).bit_length() - 1
+            if best is None or (v, i) < best:
+                best = (v, i)
+    return best
 
 
 class FrameEvaluator:
@@ -148,9 +168,10 @@ class FrameEvaluator:
 
     Bit ``v`` of ``columns(f)[i]`` is the truth of ``f`` at state ``i``
     under valuation index ``v``.  Subformula columns are memoized by
-    object identity for the lifetime of the evaluator, so batteries
-    that reuse corpus formulas across frames pay for each node once per
-    frame.  With ``aux=True`` the IR clause is the identity clause.
+    formula (structural equality) for the lifetime of the evaluator, so
+    equal subformulas share one entry and batteries that reuse corpus
+    formulas across frames pay for each node once per frame.  With
+    ``aux=True`` the IR clause is the identity clause.
     """
 
     def __init__(self, frame: Frame, atoms: tuple[str, ...], aux: bool = False):
@@ -165,10 +186,7 @@ class FrameEvaluator:
             tuple(index[t] for t in frame.successor_map[s]) for s in frame.states
         ]
         self.atom_pos = {a: i for i, a in enumerate(atoms)}
-        self._memo: dict[int, list[int]] = {}
-        # Pin memoized formulas: id-keyed caching is only sound while the
-        # keyed objects stay alive.
-        self._pin: list[Formula] = []
+        self._memo: dict[Formula, list[int]] = {}
 
     def _box(self, cols: list[int]) -> list[int]:
         full = self.full
@@ -182,7 +200,7 @@ class FrameEvaluator:
 
     def columns(self, g: Formula) -> list[int]:
         memo = self._memo
-        hit = memo.get(id(g))
+        hit = memo.get(g)
         if hit is not None:
             return hit
         k, full = self.k, self.full
@@ -235,37 +253,28 @@ class FrameEvaluator:
                 cols.append(acc)
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[id(g)] = cols
-        self._pin.append(g)
+        memo[g] = cols
         return cols
 
-    def first_false(self, g: Formula) -> tuple[int, int] | None:
-        """Least (valuation, state) falsifying ``g``, or None."""
-        best = None
+    def valid(self, g: Formula) -> bool:
+        """True iff ``g`` has no false row: it holds at every state and valuation."""
         full = self.full
-        for i, c in enumerate(self.columns(g)):
-            bad = full ^ c
-            if bad:
-                v = (bad & -bad).bit_length() - 1
-                if best is None or (v, i) < best:
-                    best = (v, i)
-        return best
+        return all(c == full for c in self.columns(g))
 
+    def witness(self, row: tuple[int, int]) -> tuple[Model, str]:
+        """The pointed model of a ``(valuation, state index)`` row."""
+        v, i = row
+        return model_at(self.frame, self.atoms, v), self.frame.states[i]
 
-def bit_columns(
-    frame: Frame, atoms: tuple[str, ...], f: Formula, aux: bool = False
-) -> tuple[list[int], int]:
-    """One-shot ``FrameEvaluator`` call; returns ``(columns, rows)``."""
-    ev = FrameEvaluator(frame, atoms, aux=aux)
-    return ev.columns(f), ev.rows
+    def describe(self, row: tuple[int, int]) -> str:
+        """``<state> of <model JSON>``: a row as battery failures name it."""
+        model, state = self.witness(row)
+        return f"{state} of {semantics.dump_model(model)}"
 
 
 def frame_validity(f: Formula, frame: Frame, aux: bool = False) -> bool:
     """True iff ``f`` holds at every state under every valuation of its atoms."""
-    atoms = tuple(sorted(atoms_of(f)))
-    cols, rows = bit_columns(frame, atoms, f, aux=aux)
-    full = (1 << rows) - 1
-    return all(c == full for c in cols)
+    return FrameEvaluator(frame, tuple(sorted(atoms_of(f))), aux=aux).valid(f)
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +301,9 @@ def _search(
         frames_examined += 1
         ev = FrameEvaluator(frame, val_atoms, aux=aux)
         models_examined += ev.rows
-        best = ev.first_false(f)
-        if best is not None:
-            model = model_at(frame, val_atoms, best[0])
-            state = frame.states[best[1]]
+        row = least_row(ev.full ^ c for c in ev.columns(f))
+        if row is not None:
+            model, state = ev.witness(row)
             check = (
                 semantics.evaluate_aux if aux else semantics.evaluate
             )(model, state, f)
@@ -450,9 +458,7 @@ def definability_gap(
     checked = 0
     for f in corpus_for(budget):
         checked += 1
-        valid1 = all(c == ev1.full for c in ev1.columns(f))
-        valid2 = all(c == ev2.full for c in ev2.columns(f))
-        if valid1 != valid2:
+        if ev1.valid(f) != ev2.valid(f):
             separating = f
             break
     return DefinabilityReport(prop, first, second, separating, checked)
@@ -480,23 +486,20 @@ def wrong_false_at_reflexive(
     wrapped = [W(g) for g in corpus_for(budget)]
     checked = 0
     for frame in frames_up_to(max_states):
-        refl = [i for i, s in enumerate(frame.states) if (s, s) in frame.relation]
-        if not refl:
+        refl = [(s, s) in frame.relation for s in frame.states]
+        if not any(refl):
             continue
         ev = FrameEvaluator(frame, budget.atoms)
+        keep = [ev.full if r else 0 for r in refl]
         for wg in wrapped:
-            cols = ev.columns(wg)
             checked += 1
-            for i in refl:
-                if cols[i]:
-                    v = (cols[i] & -cols[i]).bit_length() - 1
-                    model = model_at(frame, budget.atoms, v)
-                    state = frame.states[i]
-                    return BatteryReport(
-                        "wrong-false-at-reflexive",
-                        checked,
-                        f"{print_formula(wg)} true at reflexive state {state} of {semantics.dump_model(model)}",
-                    )
+            row = least_row(map(and_, ev.columns(wg), keep))
+            if row is not None:
+                return BatteryReport(
+                    "wrong-false-at-reflexive",
+                    checked,
+                    f"{print_formula(wg)} true at reflexive state {ev.describe(row)}",
+                )
     return BatteryReport("wrong-false-at-reflexive", checked)
 
 

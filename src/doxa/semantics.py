@@ -27,6 +27,7 @@ from .syntax import (
     Or,
     Top,
     W,
+    subformulas,
 )
 
 
@@ -120,7 +121,7 @@ def evaluate(model: Model, state: str, f: Formula) -> bool:
     return _ev(model, state, f)
 
 
-def _ev(m: Model, s: str, f: Formula) -> bool:
+def _ev(m: Model, s: str, f: Formula, aux: bool = False) -> bool:
     if isinstance(f, Atom):
         return m.truth(f.name, s)
     if isinstance(f, Top):
@@ -128,68 +129,42 @@ def _ev(m: Model, s: str, f: Formula) -> bool:
     if isinstance(f, Bot):
         return False
     if isinstance(f, Not):
-        return not _ev(m, s, f.arg)
+        return not _ev(m, s, f.arg, aux)
     if isinstance(f, And):
-        return _ev(m, s, f.left) and _ev(m, s, f.right)
+        return _ev(m, s, f.left, aux) and _ev(m, s, f.right, aux)
     if isinstance(f, Or):
-        return _ev(m, s, f.left) or _ev(m, s, f.right)
+        return _ev(m, s, f.left, aux) or _ev(m, s, f.right, aux)
     if isinstance(f, Imp):
-        return (not _ev(m, s, f.left)) or _ev(m, s, f.right)
+        return (not _ev(m, s, f.left, aux)) or _ev(m, s, f.right, aux)
     if isinstance(f, Iff):
-        return _ev(m, s, f.left) == _ev(m, s, f.right)
+        return _ev(m, s, f.left, aux) == _ev(m, s, f.right, aux)
     succ = m.frame.successor_map[s]
     if isinstance(f, W):
-        return (not _ev(m, s, f.arg)) and all(_ev(m, t, f.arg) for t in succ)
+        return (not _ev(m, s, f.arg, aux)) and all(_ev(m, t, f.arg, aux) for t in succ)
     if isinstance(f, Box):
-        return all(_ev(m, t, f.arg) for t in succ)
+        return all(_ev(m, t, f.arg, aux) for t in succ)
     if isinstance(f, IR):
-        here = _ev(m, s, f.arg)
-        if not here and all(_ev(m, t, f.arg) for t in succ):
+        here = _ev(m, s, f.arg, aux)
+        if aux:  # the auxiliary semantics reads IR g as g
+            return here
+        if not here and all(_ev(m, t, f.arg, aux) for t in succ):
             return True
-        return here and all(not _ev(m, t, f.arg) for t in succ)
+        return here and all(not _ev(m, t, f.arg, aux) for t in succ)
     if isinstance(f, FI):
-        return _ev(m, s, f.arg) and all(
-            not _ev(m, t, f.arg) for t in succ if t != s
+        return _ev(m, s, f.arg, aux) and all(
+            not _ev(m, t, f.arg, aux) for t in succ if t != s
         )
     raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate_aux(model: Model, state: str, f: Formula) -> bool:
     """Auxiliary semantics on the IR-only language: IR g is read as g."""
-    _check_ir_language(f)
-    if state not in model.frame.successor_map:
-        raise UnknownStateError(state)
-    return _ev_aux(model, state, f)
-
-
-def _check_ir_language(f: Formula) -> None:
-    from .syntax import subformulas
-
     for g in subformulas(f):
         if isinstance(g, (W, Box, FI)):
             raise LanguageError(f"{g} is outside the IR-only language")
-
-
-def _ev_aux(m: Model, s: str, f: Formula) -> bool:
-    if isinstance(f, IR):
-        return _ev_aux(m, s, f.arg)
-    if isinstance(f, Atom):
-        return m.truth(f.name, s)
-    if isinstance(f, Top):
-        return True
-    if isinstance(f, Bot):
-        return False
-    if isinstance(f, Not):
-        return not _ev_aux(m, s, f.arg)
-    if isinstance(f, And):
-        return _ev_aux(m, s, f.left) and _ev_aux(m, s, f.right)
-    if isinstance(f, Or):
-        return _ev_aux(m, s, f.left) or _ev_aux(m, s, f.right)
-    if isinstance(f, Imp):
-        return (not _ev_aux(m, s, f.left)) or _ev_aux(m, s, f.right)
-    if isinstance(f, Iff):
-        return _ev_aux(m, s, f.left) == _ev_aux(m, s, f.right)
-    raise TypeError(f"not a formula: {f!r}")
+    if state not in model.frame.successor_map:
+        raise UnknownStateError(state)
+    return _ev(model, state, f, aux=True)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,15 @@ class Formula:
     def __str__(self) -> str:
         return print_formula(self)
 
+    def __hash__(self) -> int:
+        # Structural and cached on the node, for formula-keyed memo tables.
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((type(self).__name__, *(getattr(self, n) for n in self.__match_args__)))
+            object.__setattr__(self, "_hash", h)
+            return h
+
 
 @dataclass(frozen=True)
 class Atom(Formula):
@@ -116,6 +125,10 @@ class FI(Formula):
 
 MODAL_TYPES = (W, Box, IR, FI)
 BINARY_TYPES = (And, Or, Imp, Iff)
+
+# In place of the uncached field-tuple hash the dataclass decorator adds.
+for _cls in (Atom, Top, Bot, Not) + MODAL_TYPES + BINARY_TYPES:
+    _cls.__hash__ = Formula.__hash__
 
 _MODAL_TOKEN = {W: "W", Box: "B", IR: "IR", FI: "FI"}
 _BINARY_TOKEN = {And: "&", Or: "|", Imp: "->", Iff: "<->"}

@@ -11,10 +11,12 @@ faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import xor
+from typing import Callable, Iterable, Iterator
 
 from . import oracle, semantics
 from .oracle import SearchBudget, VerdictReport
-from .semantics import ALL_FRAMES, Frame, LanguageError, Model, has_property
+from .semantics import ALL_FRAMES, Frame, FrameClass, LanguageError, Model, frame_class, has_property
 from .syntax import (
     FI,
     IR,
@@ -235,22 +237,33 @@ def verify_preservation(
 # Exhaustive construction batteries (bit-parallel over valuations)
 
 
-def _first_disagreement(
-    ev1: oracle.FrameEvaluator, ev2: oracle.FrameEvaluator, f: Formula
-) -> tuple[int, int] | None:
-    """First (valuation, state index) where truth differs; None if none.
-
-    Both evaluators must carry the same state tuple and atoms, so
-    valuation indices line up on both sides.
-    """
-    best = None
-    for i, (a, b) in enumerate(zip(ev1.columns(f), ev2.columns(f))):
-        diff = a ^ b
-        if diff:
-            v = (diff & -diff).bit_length() - 1
-            if best is None or (v, i) < best:
-                best = (v, i)
-    return best
+def _preservation_battery(
+    name: str, max_states: int, budget: SearchBudget, admits: FrameClass,
+    constructions: Callable[[Frame], Iterable[tuple[str | None, Frame]]],
+    keeps: FrameClass, lost: str,
+) -> oracle.BatteryReport:
+    """Over every frame in ``admits``: each ``(root, built)`` construction
+    lies in ``keeps`` (else fails with ``lost``, formatted with ``frame``
+    and ``root``) and preserves the corpus at every state."""
+    corpus = oracle.corpus_for(budget)
+    checked = 0
+    for frame in oracle.frames_up_to(max_states):
+        if not admits.contains(frame):
+            continue
+        ev = None
+        for root, built in constructions(frame):
+            checked += 1
+            if not keeps.contains(built):
+                return oracle.BatteryReport(name, checked, lost.format(frame=frame, root=root))
+            ev = ev or oracle.FrameEvaluator(frame, budget.atoms)
+            ev_built = oracle.FrameEvaluator(built, budget.atoms)
+            for f in corpus:
+                row = oracle.least_row(map(xor, ev.columns(f), ev_built.columns(f)))
+                if row is not None:
+                    return oracle.BatteryReport(
+                        name, checked, f"{print_formula(f)} changes truth at {ev.describe(row)}"
+                    )
+    return oracle.BatteryReport(name, checked)
 
 
 def closure_battery(
@@ -258,30 +271,19 @@ def closure_battery(
 ) -> oracle.BatteryReport:
     """Over all secondarily reflexive models: closure is Euclidean and
     preserves the corpus at every state."""
-    corpus = oracle.corpus_for(budget)
-    checked = 0
-    for frame in oracle.frames_up_to(max_states):
-        if not has_property(frame, "secondarily-reflexive"):
-            continue
-        closed = euclidean_closure(Model(frame)).frame
-        checked += 1
-        if not has_property(closed, "euclidean"):
-            return oracle.BatteryReport(
-                "euclidean-closure", checked, f"closure of {frame} not Euclidean"
-            )
-        ev1 = oracle.FrameEvaluator(frame, budget.atoms)
-        ev2 = oracle.FrameEvaluator(closed, budget.atoms)
-        for f in corpus:
-            spot = _first_disagreement(ev1, ev2, f)
-            if spot is not None:
-                model = oracle.model_at(frame, budget.atoms, spot[0])
-                state = frame.states[spot[1]]
-                return oracle.BatteryReport(
-                    "euclidean-closure",
-                    checked,
-                    f"{print_formula(f)} changes truth at {state} of {semantics.dump_model(model)}",
-                )
-    return oracle.BatteryReport("euclidean-closure", checked)
+    return _preservation_battery(
+        "euclidean-closure", max_states, budget,
+        frame_class("secondarily-reflexive"),
+        lambda frame: [(None, euclidean_closure(Model(frame)).frame)],
+        frame_class("euclidean"), "closure of {frame} not Euclidean",
+    )
+
+
+def _rooted_augmentations(frame: Frame) -> Iterator[tuple[str, Frame]]:
+    base = Model(frame)
+    for root in frame.states:
+        if generated_submodel(base, root).frame == frame:
+            yield root, cone_augment(base, root).frame
 
 
 def cone_battery(
@@ -289,43 +291,13 @@ def cone_battery(
 ) -> oracle.BatteryReport:
     """Over all transitive, secondarily reflexive models generated by a root:
     cone augmentation is transitive and Euclidean and preserves the corpus."""
-    corpus = oracle.corpus_for(budget)
-    checked = 0
-    for frame in oracle.frames_up_to(max_states):
-        if not (
-            has_property(frame, "transitive")
-            and has_property(frame, "secondarily-reflexive")
-        ):
-            continue
-        ev1 = None
-        for root in frame.states:
-            base = Model(frame)
-            if generated_submodel(base, root).frame != frame:
-                continue
-            checked += 1
-            augmented = cone_augment(base, root).frame
-            if not has_property(augmented, "transitive") or not has_property(
-                augmented, "euclidean"
-            ):
-                return oracle.BatteryReport(
-                    "cone-augment",
-                    checked,
-                    f"augmentation of {frame} at {root} lost transitivity or Euclideanness",
-                )
-            if ev1 is None:
-                ev1 = oracle.FrameEvaluator(frame, budget.atoms)
-            ev2 = oracle.FrameEvaluator(augmented, budget.atoms)
-            for f in corpus:
-                spot = _first_disagreement(ev1, ev2, f)
-                if spot is not None:
-                    model = oracle.model_at(frame, budget.atoms, spot[0])
-                    state = frame.states[spot[1]]
-                    return oracle.BatteryReport(
-                        "cone-augment",
-                        checked,
-                        f"{print_formula(f)} changes truth at {state} of {semantics.dump_model(model)}",
-                    )
-    return oracle.BatteryReport("cone-augment", checked)
+    return _preservation_battery(
+        "cone-augment", max_states, budget,
+        frame_class("transitive+secondarily-reflexive"),
+        _rooted_augmentations,
+        frame_class("transitive+euclidean"),
+        "augmentation of {frame} at {root} lost transitivity or Euclideanness",
+    )
 
 
 _SUBMODEL_PROPERTIES = (
@@ -380,20 +352,11 @@ def translation_battery(
         ev = oracle.FrameEvaluator(frame, budget.atoms)
         for f, g in pairs:
             checked += 1
-            cf, cg = ev.columns(f), ev.columns(g)
-            bad = None
-            for i, (a, b) in enumerate(zip(cf, cg)):
-                diff = a ^ b
-                if diff:
-                    v = (diff & -diff).bit_length() - 1
-                    if bad is None or (v, i) < bad:
-                        bad = (v, i)
-            if bad is not None:
-                model = oracle.model_at(frame, budget.atoms, bad[0])
-                state = frame.states[bad[1]]
+            row = oracle.least_row(map(xor, ev.columns(f), ev.columns(g)))
+            if row is not None:
                 return oracle.BatteryReport(
                     name,
                     checked,
-                    f"{print_formula(f)} vs {print_formula(g)} differ at {state} of {semantics.dump_model(model)}",
+                    f"{print_formula(f)} vs {print_formula(g)} differ at {ev.describe(row)}",
                 )
     return oracle.BatteryReport(name, checked)

@@ -229,3 +229,56 @@ def test_verify_paper_json_deterministic(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["valid"]) == 2  # missing formula
     assert main(["no-such-command"]) == 2
+
+
+def _usage_error(code, err):
+    """Exit 2 with one ``error:`` line and no traceback."""
+    return code == 2 and "Traceback" not in err and sum("error:" in l for l in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["valid", "p"],
+        ["counter", "p"],
+        ["chain", "--axiom", "4", "--check"],
+        ["transform", "closure", "MODEL", "--verify"],
+        ["verify-paper", "--filter", "a1-sound-all"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_states_below_one_is_a_usage_error(capsys, pair_file, argv, value):
+    argv = [pair_file if a == "MODEL" else a for a in argv]
+    code, out, err = run(capsys, *argv, "--max-states", value)
+    assert _usage_error(code, err) and "positive integer" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("atoms", ["p,W", "p,,q", "p,Q"])
+def test_bad_atom_lists_are_usage_errors(capsys, pair_file, atoms):
+    code, out, err = run(capsys, "valid", "p", "--atoms", atoms)
+    assert _usage_error(code, err) and "invalid atom name" in err
+    code, out, err = run(capsys, "transform", "closure", pair_file, "--verify", "--atoms", atoms)
+    assert _usage_error(code, err) and out == ""
+
+
+def test_atom_lists_are_stripped(capsys, pair_file):
+    code, out, _ = run(capsys, "valid", "p | ~p", "--atoms", "p, q", "--max-states", "1")
+    assert code == 0 and "no-countermodel-up-to-budget" in out
+    code, out, _ = run(
+        capsys, "transform", "closure", pair_file, "--verify", "--atoms", " p , q", "--size", "3"
+    )
+    assert code == 0 and "preservation: ok" in out
+
+
+def test_deeply_nested_formula_is_a_usage_error(capsys, pair_file, tmp_path):
+    deep = "~" * 5000 + "p"
+    code, _, err = run(capsys, "valid", deep)
+    assert _usage_error(code, err) and "nested too deeply" in err
+    code, _, err = run(capsys, "eval", pair_file, "s1", deep)
+    assert _usage_error(code, err) and "nested too deeply" in err
+    script = tmp_path / "deep.proof"
+    script.write_text(f"system: KW\n1. {deep} -> {deep} ; taut\n")
+    code, _, err = run(capsys, "prove", str(script))
+    assert _usage_error(code, err) and "nested too deeply" in err

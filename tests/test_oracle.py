@@ -1,5 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from doxa import oracle
 from doxa.oracle import (
     COUNTERMODEL,
     NO_COUNTERMODEL,
@@ -8,18 +10,44 @@ from doxa.oracle import (
     SearchBudget,
     agree_up_to,
     aux_valid_on,
+    bit_pattern,
     definability_gap,
     enumerate_formulas,
     enumerate_frames,
     enumerate_models,
     find_countermodel,
     frames_up_to,
+    least_row,
     model_at,
     valid_on,
     wrong_false_at_reflexive,
 )
-from doxa.semantics import Frame, Model, evaluate, evaluate_aux, frame_class
-from doxa.syntax import parse, print_formula
+from doxa.semantics import (
+    Frame,
+    Model,
+    dump_model,
+    evaluate,
+    evaluate_aux,
+    frame_class,
+    load_model,
+)
+from doxa.syntax import (
+    FI,
+    IR,
+    And,
+    Atom,
+    Bot,
+    Box,
+    Iff,
+    Imp,
+    Not,
+    Or,
+    Top,
+    W,
+    parse,
+    print_formula,
+    subformulas,
+)
 
 POINT = Model.of(["s"], [("s", "s")], {"p": ["s"]})
 PAIR = Model.of(
@@ -272,3 +300,111 @@ def test_bit_columns_sampled_three_states():
 def test_wrong_false_battery():
     report = wrong_false_at_reflexive(2)
     assert report.passed
+
+
+# --- the shared least-row rule against a brute-force reference scan ---------
+
+_p, _q = Atom("p"), Atom("q")
+_kids = st.sampled_from([_p, _q, Top(), Bot()])
+
+
+def _formulas(*modalities):
+    return st.recursive(
+        _kids,
+        lambda kids: st.one_of(
+            *(st.builds(m, kids) for m in (Not,) + modalities),
+            *(st.builds(c, kids, kids) for c in (And, Or, Imp, Iff)),
+        ),
+        max_leaves=8,
+    )
+
+
+_small_frames = st.sampled_from(tuple(frames_up_to(3)))
+
+
+def _brute_least_false(frame, f, aux):
+    """First (valuation, state) in enumeration order where ``f`` fails."""
+    ev = evaluate_aux if aux else evaluate
+    for v in range(1 << (len(frame.states) * 2)):
+        model = model_at(frame, ("p", "q"), v)
+        for i, s in enumerate(frame.states):
+            if not ev(model, s, f):
+                return v, i
+    return None
+
+
+def _check_least_row(frame, f, aux):
+    ev = FrameEvaluator(frame, ("p", "q"), aux=aux)
+    # f itself, one formula with no false row and one false everywhere
+    for g in (f, Or(f, Not(f)), And(f, Not(f))):
+        row = least_row(ev.full ^ c for c in ev.columns(g))
+        assert row == _brute_least_false(frame, g, aux)
+        assert (row is None) == ev.valid(g)
+        if row is not None:
+            model, state = ev.witness(row)
+            assert not (evaluate_aux if aux else evaluate)(model, state, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_frames, _formulas(W, Box, IR, FI))
+def test_least_row_matches_reference_scan(frame, f):
+    _check_least_row(frame, f, aux=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_frames, _formulas(IR))
+def test_least_row_matches_reference_scan_aux(frame, f):
+    _check_least_row(frame, f, aux=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_frames, _formulas(W, Box, IR, FI))
+def test_memo_is_keyed_on_the_formula(frame, f):
+    ev = FrameEvaluator(frame, ("p", "q"))
+    first, second = parse(print_formula(f)), parse(print_formula(f))
+    assert first is not second
+    cols = ev.columns(first)
+    entries = len(ev._memo)
+    assert entries == len(set(subformulas(f)))
+    assert ev.columns(second) == cols
+    assert len(ev._memo) == entries
+
+
+def test_bit_pattern_by_doubling():
+    for n in range(6):
+        rows = 1 << n
+        for bit in range(n + 2):
+            want = sum(1 << v for v in range(rows) if v >> bit & 1)
+            assert bit_pattern(bit, rows) == want
+
+
+def test_wrong_false_failure_names_least_row(monkeypatch):
+    # A kernel whose box ignores self-loops makes W p true at reflexive
+    # states.  On this frame W p is wrongly true at s1 only under
+    # valuation 2 (p at s2) and at s2 already under valuation 0, so the
+    # least (valuation, state) row is s2 with p nowhere.
+    frame = Frame.of(["s1", "s2"], [("s1", "s1"), ("s1", "s2"), ("s2", "s2")])
+
+    def box_without_loops(self, cols):
+        out = []
+        for i in range(self.k):
+            acc = self.full
+            for j in self.succ[i]:
+                if j != i:
+                    acc &= cols[j]
+            out.append(acc)
+        return out
+
+    monkeypatch.setattr(FrameEvaluator, "_box", box_without_loops)
+    monkeypatch.setattr(oracle, "frames_up_to", lambda n: iter([frame]))
+    report = wrong_false_at_reflexive(2)
+    assert not report.passed
+    model = Model(frame, {"p": frozenset()})
+    assert report.failure == (
+        f"W p true at reflexive state s2 of {dump_model(model)}"
+    )
+    head, named = report.failure.split(" of ", 1)
+    formula, state = parse(head.split(" true at ")[0]), head.rsplit(" ", 1)[1]
+    named_model, _ = load_model(named)
+    assert (state, state) in named_model.frame.relation
+    assert evaluate(named_model, state, formula) is False

@@ -152,6 +152,14 @@ def test_print_parse_roundtrip(f):
 
 
 @given(formulas)
+def test_hash_is_structural(f):
+    g = parse(print_formula(f))
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert len({f, g}) == 1
+    assert Not(f) != W(f) and hash(Not(f)) == hash(Not(g))
+
+
+@given(formulas)
 def test_measures_bounds(f):
     m = measures(f)
     assert m.size >= 1

@@ -1,8 +1,9 @@
 import pytest
 
+from doxa import transform
 from doxa.oracle import SearchBudget, frames_up_to
-from doxa.semantics import LanguageError, Model, evaluate, has_property
-from doxa.syntax import parse, print_formula
+from doxa.semantics import Frame, LanguageError, Model, evaluate, has_property, load_model
+from doxa.syntax import IR, And, Not, W, parse, print_formula
 from doxa.transform import (
     TranslationChain,
     almost_def_chain,
@@ -189,3 +190,67 @@ def test_translation_batteries():
     assert translation_battery("roundtrip", 2, budget).passed
     with pytest.raises(ValueError):
         translation_battery("sideways", 2, budget)
+
+
+# --- failure paths of the batteries, with a broken construction or rewrite ---
+
+
+def _universal(m, state=None):
+    """A broken construction: the full relation on the model's states."""
+    states = m.frame.states
+    return Model(Frame.of(states, [(a, b) for a in states for b in states]), m.valuation)
+
+
+def _named(failure, verb):
+    """The formula, state and model that a battery failure names."""
+    head, named = failure.split(" of ", 1)
+    text, state = head.split(f" {verb} at ")
+    return text, state, load_model(named)[0]
+
+
+@pytest.mark.parametrize(
+    "battery, construction",
+    [(closure_battery, "euclidean_closure"), (cone_battery, "cone_augment")],
+)
+def test_preservation_battery_names_a_real_disagreement(monkeypatch, battery, construction):
+    monkeypatch.setattr(transform, construction, _universal)
+    report = battery(2)
+    assert not report.passed
+    text, state, model = _named(report.failure, "changes truth")
+    f = parse(text)
+    assert evaluate(model, state, f) != evaluate(_universal(model), state, f)
+
+
+@pytest.mark.parametrize(
+    "battery, construction, lost",
+    [
+        (closure_battery, "euclidean_closure", "not Euclidean"),
+        (cone_battery, "cone_augment", "lost transitivity or Euclideanness"),
+    ],
+)
+def test_preservation_battery_reports_lost_property(monkeypatch, battery, construction, lost):
+    monkeypatch.setattr(transform, construction, lambda m, state=None: m)
+    report = battery(2)
+    assert not report.passed and report.failure.endswith(lost)
+    assert report.failure.startswith(("closure of Frame(", "augmentation of Frame("))
+
+
+def _unguarded_w_to_ri(f):
+    """The W-to-IR rewrite without its ``& ~g`` guard: W g becomes IR g."""
+    if isinstance(f, W):
+        return IR(_unguarded_w_to_ri(f.arg))
+    if isinstance(f, Not):
+        return Not(_unguarded_w_to_ri(f.arg))
+    if isinstance(f, And):
+        return And(_unguarded_w_to_ri(f.left), _unguarded_w_to_ri(f.right))
+    return f
+
+
+def test_translation_battery_names_a_real_disagreement(monkeypatch):
+    monkeypatch.setattr(transform, "w_to_ri", _unguarded_w_to_ri)
+    report = translation_battery("w2ri", 2)
+    assert not report.passed
+    text, state, model = _named(report.failure, "differ")
+    f, g = (parse(t) for t in text.split(" vs "))
+    assert g == _unguarded_w_to_ri(f)
+    assert evaluate(model, state, f) != evaluate(model, state, g)
