@@ -26,9 +26,16 @@ class UsageError(Exception):
 
 
 def _positive_int(text: str) -> int:
-    """An integer of at least 1: the ``--max-states`` argument type."""
+    """An integer of at least 1: the ``--max-states`` and ``--size`` type."""
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _natural_int(text: str) -> int:
+    """An integer of at least 0: the ``--depth`` type."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -49,13 +56,11 @@ def _budget(args, atoms: tuple[str, ...] = ("p", "q", "r")) -> SearchBudget:
             atoms = tuple(Atom(a.strip()).name for a in args.atoms.split(","))
         except ValueError as exc:
             raise UsageError(f"--atoms: {exc}")
-    depth = getattr(args, "depth", None)
-    size = getattr(args, "size", None)
     return SearchBudget(
         max_states=_max_states(args),
         atoms=atoms,
-        max_modal_depth=depth if depth is not None else 2,
-        max_size=size if size is not None else 7,
+        max_modal_depth=getattr(args, "depth", 2),
+        max_size=getattr(args, "size", 7),
     )
 
 
@@ -264,8 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         if atoms:
             p.add_argument("--atoms", default=None, help="comma-separated atom list for valuations")
         if corpus:
-            p.add_argument("--depth", type=int, default=None, help="corpus modal depth bound")
-            p.add_argument("--size", type=int, default=None, help="corpus size bound")
+            p.add_argument("--depth", type=_natural_int, default=2, help="corpus modal depth bound (default 2)")
+            p.add_argument("--size", type=_positive_int, default=7, help="corpus size bound (default 7)")
 
     p = sub.add_parser("eval", help="evaluate a formula at a state of a model file")
     p.add_argument("model")

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .oracle import bit_pattern
+from .oracle import atom_column
 from .semantics import FrameClass, frame_class
 from .syntax import (
     FI,
@@ -81,7 +81,7 @@ def is_tautology(f: Formula) -> bool:
     full = (1 << rows) - 1
     # Truth-table columns packed into ints: bit v = value on row v.  They
     # are not cached: a table may have 2^20 rows.
-    column = {letter: bit_pattern(i, rows) for i, letter in enumerate(letters)}
+    column = {letter: atom_column(i, 1, rows) for i, letter in enumerate(letters)}
 
     def go(g: Formula) -> int:
         if g in column:

@@ -6,11 +6,12 @@ deterministic first witnesses.  A countermodel verdict is conclusive
 invalidity; the absence of one is evidence only and is always reported
 with its budget.
 
-Search uses a bit-parallel evaluator: for a fixed frame, the truth value
-of a formula at state ``s`` under every valuation at once is a Python
-int whose bit ``v`` is the truth under valuation index ``v``.  Every
-witness is re-checked by the independent recursive evaluator before a
-report is returned.
+Search uses a bit-parallel evaluator: on a frame of ``k`` states, the
+column of a formula is one int whose bit ``v*k + i`` is its truth at
+state ``i`` under valuation index ``v``, so its lowest set bit is the
+least ``(valuation, state)`` row: the witness order of every search and
+battery.  Every witness is re-checked by the independent recursive
+evaluator before a report is returned.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import and_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import semantics
 from .semantics import ALL_FRAMES, Frame, FrameClass, Model
@@ -131,47 +131,52 @@ def model_at(frame: Frame, atoms: tuple[str, ...], index: int) -> Model:
 # Bit-parallel evaluation over all valuations of a frame at once
 
 
-def bit_pattern(bit: int, rows: int) -> int:
-    """Int whose bit ``v`` is set iff bit ``bit`` of ``v`` is, for ``v < rows``.
+@lru_cache(maxsize=64)
+def _state_mask(k: int, rows: int) -> int:
+    """Bits 0, k, 2k, ..., (rows - 1)k: state 0 of every row, by doubling."""
+    mask, n = 1, 1
+    while n < rows:
+        mask |= mask << (n * k)
+        n <<= 1
+    return mask
 
-    ``rows`` is a power of two.  The pattern is built by doubling one
-    period, in O(log rows) big-int operations.
+
+def atom_column(pos: int, k: int, rows: int) -> int:
+    """Column of the atom at ``pos`` on ``k`` states: bit ``v*k + i`` is set
+    iff bit ``pos*k + i`` of ``v`` is, for ``v < rows`` (a power of two).
+
+    Each state's pattern takes O(log rows) big-int operations.  With
+    ``k = 1`` it is the truth-table column of letter ``pos``.
     """
-    period = 2 << bit
-    if period > rows:
-        return 0
-    out = ((1 << (1 << bit)) - 1) << (1 << bit)
-    while period < rows:
-        out |= out << period
-        period <<= 1
+    out = 0
+    for i in range(k):
+        run = 1 << (pos * k + i)  # the truth at state ``i`` flips every ``run`` rows
+        if 2 * run > rows:
+            break
+        # Row ``run`` doubled up to rows run..2run-1, then period by period.
+        pattern, n = 1 << (run * k + i), 1
+        while n < rows:
+            if n != run:
+                pattern |= pattern << (n * k)
+            n <<= 1
+        out |= pattern
     return out
 
 
 # Frame evaluators share atom columns across frames of one size.
-_bit_pattern = lru_cache(maxsize=4096)(bit_pattern)
-
-
-def least_row(cols: Iterable[int]) -> tuple[int, int] | None:
-    """Least ``(valuation, state index)`` among the set bits of per-state
-    columns, or None: the witness order of every search and battery."""
-    best = None
-    for i, c in enumerate(cols):
-        if c:
-            v = (c & -c).bit_length() - 1
-            if best is None or (v, i) < best:
-                best = (v, i)
-    return best
+_atom_column = lru_cache(maxsize=4096)(atom_column)
 
 
 class FrameEvaluator:
     """Truth columns over all valuations of ``atoms`` on a fixed frame.
 
-    Bit ``v`` of ``columns(f)[i]`` is the truth of ``f`` at state ``i``
-    under valuation index ``v``.  Subformula columns are memoized by
-    formula (structural equality) for the lifetime of the evaluator, so
-    equal subformulas share one entry and batteries that reuse corpus
-    formulas across frames pay for each node once per frame.  With
-    ``aux=True`` the IR clause is the identity clause.
+    ``columns(f)`` is one int whose bit ``v*k + i`` is the truth of ``f``
+    at state ``i`` under valuation index ``v``; ``full`` has all
+    ``rows * k`` bits set.  Columns are memoized by formula (structural
+    equality) for the lifetime of the evaluator, so equal subformulas
+    share one entry and batteries that reuse corpus formulas across
+    frames pay for each node once per frame.  With ``aux=True`` the IR
+    clause is the identity clause.
     """
 
     def __init__(self, frame: Frame, atoms: tuple[str, ...], aux: bool = False):
@@ -180,86 +185,75 @@ class FrameEvaluator:
         self.aux = aux
         self.k = len(frame.states)
         self.rows = 1 << (self.k * len(atoms))
-        self.full = (1 << self.rows) - 1
+        self.full = (1 << (self.rows * self.k)) - 1
+        self.state_mask = _state_mask(self.k, self.rows)
         index = {s: i for i, s in enumerate(frame.states)}
         self.succ = [
             tuple(index[t] for t in frame.successor_map[s]) for s in frame.states
         ]
         self.atom_pos = {a: i for i, a in enumerate(atoms)}
-        self._memo: dict[Formula, list[int]] = {}
+        self._memo: dict[Formula, int] = {}
 
-    def _box(self, cols: list[int]) -> list[int]:
-        full = self.full
-        out = []
-        for i in range(self.k):
-            acc = full
-            for j in self.succ[i]:
-                acc &= cols[j]
-            out.append(acc)
+    def _box(self, c: int, succ: Sequence[Sequence[int]]) -> int:
+        """At each state ``i``: the AND of ``c`` over the states ``succ[i]``."""
+        mask = self.state_mask
+        out = 0
+        for i, js in enumerate(succ):
+            acc = mask
+            for j in js:
+                acc &= c >> j
+            out |= acc << i
         return out
 
-    def columns(self, g: Formula) -> list[int]:
+    def columns(self, g: Formula) -> int:
         memo = self._memo
         hit = memo.get(g)
         if hit is not None:
             return hit
-        k, full = self.k, self.full
-        if isinstance(g, Atom):
+        full = self.full
+        if isinstance(g, Atom):  # atoms missing from ``atoms`` are false everywhere
             pos = self.atom_pos.get(g.name)
-            if pos is None:
-                cols = [0] * k  # missing atoms are false everywhere
-            else:
-                cols = [_bit_pattern(pos * k + i, self.rows) for i in range(k)]
+            col = 0 if pos is None else _atom_column(pos, self.k, self.rows)
         elif isinstance(g, Top):
-            cols = [full] * k
+            col = full
         elif isinstance(g, Bot):
-            cols = [0] * k
+            col = 0
         elif isinstance(g, Not):
-            cols = [full ^ c for c in self.columns(g.arg)]
+            col = full ^ self.columns(g.arg)
         elif isinstance(g, And):
-            l, r = self.columns(g.left), self.columns(g.right)
-            cols = [l[i] & r[i] for i in range(k)]
+            col = self.columns(g.left) & self.columns(g.right)
         elif isinstance(g, Or):
-            l, r = self.columns(g.left), self.columns(g.right)
-            cols = [l[i] | r[i] for i in range(k)]
+            col = self.columns(g.left) | self.columns(g.right)
         elif isinstance(g, Imp):
-            l, r = self.columns(g.left), self.columns(g.right)
-            cols = [(full ^ l[i]) | r[i] for i in range(k)]
+            col = (full ^ self.columns(g.left)) | self.columns(g.right)
         elif isinstance(g, Iff):
-            l, r = self.columns(g.left), self.columns(g.right)
-            cols = [full ^ (l[i] ^ r[i]) for i in range(k)]
+            col = full ^ self.columns(g.left) ^ self.columns(g.right)
         elif isinstance(g, Box):
-            cols = self._box(self.columns(g.arg))
+            col = self._box(self.columns(g.arg), self.succ)
         elif isinstance(g, W):
             c = self.columns(g.arg)
-            b = self._box(c)
-            cols = [b[i] & (full ^ c[i]) for i in range(k)]
+            col = self._box(c, self.succ) & (full ^ c)
+        elif isinstance(g, IR) and self.aux:
+            col = self.columns(g.arg)
         elif isinstance(g, IR):
-            if self.aux:
-                cols = self.columns(g.arg)
-            else:
-                c = self.columns(g.arg)
-                b = self._box(c)
-                nb = self._box([full ^ ci for ci in c])
-                cols = [(b[i] & (full ^ c[i])) | (nb[i] & c[i]) for i in range(k)]
+            c = self.columns(g.arg)
+            col = self._box(c, self.succ) & (full ^ c) | self._box(full ^ c, self.succ) & c
         elif isinstance(g, FI):
             c = self.columns(g.arg)
-            cols = []
-            for i in range(k):
-                acc = c[i]
-                for j in self.succ[i]:
-                    if j != i:
-                        acc &= full ^ c[j]
-                cols.append(acc)
+            others = [[j for j in js if j != i] for i, js in enumerate(self.succ)]
+            col = c & self._box(full ^ c, others)
         else:
             raise TypeError(f"not a formula: {g!r}")
-        memo[g] = cols
-        return cols
+        memo[g] = col
+        return col
 
     def valid(self, g: Formula) -> bool:
         """True iff ``g`` has no false row: it holds at every state and valuation."""
-        full = self.full
-        return all(c == full for c in self.columns(g))
+        return self.columns(g) == self.full
+
+    def least_row(self, bad: int) -> tuple[int, int] | None:
+        """The least ``(valuation, state index)`` row set in ``bad``, or None."""
+        return divmod((bad & -bad).bit_length() - 1, self.k) if bad else None
 
     def witness(self, row: tuple[int, int]) -> tuple[Model, str]:
         """The pointed model of a ``(valuation, state index)`` row."""
@@ -301,7 +295,7 @@ def _search(
         frames_examined += 1
         ev = FrameEvaluator(frame, val_atoms, aux=aux)
         models_examined += ev.rows
-        row = least_row(ev.full ^ c for c in ev.columns(f))
+        row = ev.least_row(ev.full ^ ev.columns(f))
         if row is not None:
             model, state = ev.witness(row)
             check = (
@@ -486,14 +480,14 @@ def wrong_false_at_reflexive(
     wrapped = [W(g) for g in corpus_for(budget)]
     checked = 0
     for frame in frames_up_to(max_states):
-        refl = [(s, s) in frame.relation for s in frame.states]
-        if not any(refl):
+        refl = [i for i, s in enumerate(frame.states) if (s, s) in frame.relation]
+        if not refl:
             continue
         ev = FrameEvaluator(frame, budget.atoms)
-        keep = [ev.full if r else 0 for r in refl]
+        keep = sum(ev.state_mask << i for i in refl)  # disjoint bits: an OR
         for wg in wrapped:
             checked += 1
-            row = least_row(map(and_, ev.columns(wg), keep))
+            row = ev.least_row(ev.columns(wg) & keep)
             if row is not None:
                 return BatteryReport(
                     "wrong-false-at-reflexive",

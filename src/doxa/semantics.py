@@ -334,8 +334,8 @@ def load_model(text: str) -> tuple[Model, str | None]:
     designated = doc.get("designated")
     if designated is not None and not isinstance(designated, str):
         raise ModelFormatError("'designated' must be a string")
-    try:
-        model = Model.of(states, pairs, val)
+    try:  # a valuation key must be an atom name: the Atom check rejects others
+        model = Model.of(states, pairs, {Atom(a).name: m for a, m in val.items()})
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     if designated is not None and designated not in model.frame.states:

@@ -11,7 +11,6 @@ faith.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import xor
 from typing import Callable, Iterable, Iterator
 
 from . import oracle, semantics
@@ -243,8 +242,8 @@ def _preservation_battery(
     keeps: FrameClass, lost: str,
 ) -> oracle.BatteryReport:
     """Over every frame in ``admits``: each ``(root, built)`` construction
-    lies in ``keeps`` (else fails with ``lost``, formatted with ``frame``
-    and ``root``) and preserves the corpus at every state."""
+    lies in ``keeps`` (else fails with ``lost``, formatted with ``root``
+    and the frame's model JSON) and preserves the corpus at every state."""
     corpus = oracle.corpus_for(budget)
     checked = 0
     for frame in oracle.frames_up_to(max_states):
@@ -254,11 +253,12 @@ def _preservation_battery(
         for root, built in constructions(frame):
             checked += 1
             if not keeps.contains(built):
-                return oracle.BatteryReport(name, checked, lost.format(frame=frame, root=root))
+                named = semantics.dump_model(Model(frame))
+                return oracle.BatteryReport(name, checked, lost.format(frame=named, root=root))
             ev = ev or oracle.FrameEvaluator(frame, budget.atoms)
             ev_built = oracle.FrameEvaluator(built, budget.atoms)
             for f in corpus:
-                row = oracle.least_row(map(xor, ev.columns(f), ev_built.columns(f)))
+                row = ev.least_row(ev.columns(f) ^ ev_built.columns(f))
                 if row is not None:
                     return oracle.BatteryReport(
                         name, checked, f"{print_formula(f)} changes truth at {ev.describe(row)}"
@@ -326,7 +326,7 @@ def submodel_property_battery(max_states: int = 4) -> oracle.BatteryReport:
                     return oracle.BatteryReport(
                         "generated-submodel-properties",
                         checked,
-                        f"{p} lost by the submodel of {frame} at {root}",
+                        f"{p} lost by the submodel of {semantics.dump_model(base)} at {root}",
                     )
     return oracle.BatteryReport("generated-submodel-properties", checked)
 
@@ -352,7 +352,7 @@ def translation_battery(
         ev = oracle.FrameEvaluator(frame, budget.atoms)
         for f, g in pairs:
             checked += 1
-            row = oracle.least_row(map(xor, ev.columns(f), ev.columns(g)))
+            row = ev.least_row(ev.columns(f) ^ ev.columns(g))
             if row is not None:
                 return oracle.BatteryReport(
                     name,

@@ -282,3 +282,32 @@ def test_deeply_nested_formula_is_a_usage_error(capsys, pair_file, tmp_path):
     script.write_text(f"system: KW\n1. {deep} -> {deep} ; taut\n")
     code, _, err = run(capsys, "prove", str(script))
     assert _usage_error(code, err) and "nested too deeply" in err
+
+
+def test_invalid_valuation_atom_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"states": ["s"], "relation": [], "valuation": {"W": ["s"]}}')
+    for argv in (["eval", str(path), "s", "p"], ["transform", "closure", str(path), "--verify"]):
+        code, out, err = run(capsys, *argv)
+        assert _usage_error(code, err) and "invalid atom name: 'W'" in err
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "flag, value, want",
+    [
+        ("--depth", "-1", "non-negative integer"),
+        ("--size", "0", "positive integer"),
+        ("--size", "-3", "positive integer"),
+    ],
+)
+def test_corpus_bounds_out_of_range_are_usage_errors(capsys, pair_file, flag, value, want):
+    code, out, err = run(capsys, "transform", "closure", pair_file, "--verify", flag, value)
+    assert _usage_error(code, err) and want in err
+    assert out == ""
+
+
+def test_least_corpus_bounds_check_the_atoms(capsys, pair_file):
+    argv = ["transform", "closure", pair_file, "--verify", "--depth", "0", "--size", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.rstrip().endswith("preservation: ok over 1 formulas")

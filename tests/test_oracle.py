@@ -9,15 +9,14 @@ from doxa.oracle import (
     FrameEvaluator,
     SearchBudget,
     agree_up_to,
+    atom_column,
     aux_valid_on,
-    bit_pattern,
     definability_gap,
     enumerate_formulas,
     enumerate_frames,
     enumerate_models,
     find_countermodel,
     frames_up_to,
-    least_row,
     model_at,
     valid_on,
     wrong_false_at_reflexive,
@@ -265,11 +264,12 @@ def test_bit_columns_cross_validated_against_reference():
     for frame in frames_up_to(2):
         ev = FrameEvaluator(frame, ("p", "q"))
         for f in corpus:
-            cols = ev.columns(f)
+            col = ev.columns(f)
+            assert 0 <= col <= ev.full
             for v in range(ev.rows):
                 model = model_at(frame, ("p", "q"), v)
                 for i, s in enumerate(frame.states):
-                    assert bool(cols[i] >> v & 1) == evaluate(model, s, f)
+                    assert bool(col >> (v * ev.k + i) & 1) == evaluate(model, s, f)
 
 
 def test_bit_columns_cross_validated_aux():
@@ -277,11 +277,12 @@ def test_bit_columns_cross_validated_aux():
     for frame in frames_up_to(2):
         ev = FrameEvaluator(frame, ("p",), aux=True)
         for f in corpus:
-            cols = ev.columns(f)
+            col = ev.columns(f)
+            assert 0 <= col <= ev.full
             for v in range(ev.rows):
                 model = model_at(frame, ("p",), v)
                 for i, s in enumerate(frame.states):
-                    assert bool(cols[i] >> v & 1) == evaluate_aux(model, s, f)
+                    assert bool(col >> (v * ev.k + i) & 1) == evaluate_aux(model, s, f)
 
 
 def test_bit_columns_sampled_three_states():
@@ -290,11 +291,12 @@ def test_bit_columns_sampled_three_states():
     for frame in frames:
         ev = FrameEvaluator(frame, ("p",))
         for f in corpus:
-            cols = ev.columns(f)
+            col = ev.columns(f)
+            assert 0 <= col <= ev.full
             for v in range(ev.rows):
                 model = model_at(frame, ("p",), v)
                 for i, s in enumerate(frame.states):
-                    assert bool(cols[i] >> v & 1) == evaluate(model, s, f)
+                    assert bool(col >> (v * ev.k + i) & 1) == evaluate(model, s, f)
 
 
 def test_wrong_false_battery():
@@ -337,7 +339,7 @@ def _check_least_row(frame, f, aux):
     ev = FrameEvaluator(frame, ("p", "q"), aux=aux)
     # f itself, one formula with no false row and one false everywhere
     for g in (f, Or(f, Not(f)), And(f, Not(f))):
-        row = least_row(ev.full ^ c for c in ev.columns(g))
+        row = ev.least_row(ev.full ^ ev.columns(g))
         assert row == _brute_least_false(frame, g, aux)
         assert (row is None) == ev.valid(g)
         if row is not None:
@@ -370,12 +372,19 @@ def test_memo_is_keyed_on_the_formula(frame, f):
     assert len(ev._memo) == entries
 
 
-def test_bit_pattern_by_doubling():
-    for n in range(6):
-        rows = 1 << n
-        for bit in range(n + 2):
-            want = sum(1 << v for v in range(rows) if v >> bit & 1)
-            assert bit_pattern(bit, rows) == want
+def test_atom_column_by_doubling():
+    # bits past the range (atom positions beyond the valuation) give 0
+    for k in range(1, 4):
+        for n_atoms in range(1, 4):
+            rows = 1 << (k * n_atoms)
+            for pos in range(n_atoms + 2):
+                want = sum(
+                    1 << (v * k + i)
+                    for v in range(rows)
+                    for i in range(k)
+                    if v >> (pos * k + i) & 1
+                )
+                assert atom_column(pos, k, rows) == want
 
 
 def test_wrong_false_failure_names_least_row(monkeypatch):
@@ -385,15 +394,10 @@ def test_wrong_false_failure_names_least_row(monkeypatch):
     # least (valuation, state) row is s2 with p nowhere.
     frame = Frame.of(["s1", "s2"], [("s1", "s1"), ("s1", "s2"), ("s2", "s2")])
 
-    def box_without_loops(self, cols):
-        out = []
-        for i in range(self.k):
-            acc = self.full
-            for j in self.succ[i]:
-                if j != i:
-                    acc &= cols[j]
-            out.append(acc)
-        return out
+    box = FrameEvaluator._box
+
+    def box_without_loops(self, c, succ):
+        return box(self, c, [[j for j in js if j != i] for i, js in enumerate(succ)])
 
     monkeypatch.setattr(FrameEvaluator, "_box", box_without_loops)
     monkeypatch.setattr(oracle, "frames_up_to", lambda n: iter([frame]))

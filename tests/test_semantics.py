@@ -263,6 +263,8 @@ def test_model_unknown_field_rejected():
         lambda d: d.__setitem__("valuation", {"p": ["zz"]}),
         lambda d: d.__setitem__("designated", "zz"),
         lambda d: d.__setitem__("designated", 3),
+        lambda d: d.__setitem__("valuation", {"W": ["s"]}),
+        lambda d: d.__setitem__("valuation", {"Q": ["s"]}),
     ],
 )
 def test_model_bad_documents(mutation):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from doxa import transform
@@ -232,7 +238,52 @@ def test_preservation_battery_reports_lost_property(monkeypatch, battery, constr
     monkeypatch.setattr(transform, construction, lambda m, state=None: m)
     report = battery(2)
     assert not report.passed and report.failure.endswith(lost)
-    assert report.failure.startswith(("closure of Frame(", "augmentation of Frame("))
+    head, named = report.failure.split(" of ", 1)
+    assert head in ("closure", "augmentation")
+    frame = load_model(named[: named.rindex("}") + 1])[0].frame
+    assert frame in frames_up_to(2)
+
+
+# Each battery with a construction that loses its property; prints the
+# three failure texts as one JSON list.
+_LOST_PROPERTY_SCRIPT = """
+import json
+from doxa import transform
+from doxa.semantics import Frame, Model
+transform.euclidean_closure = lambda m: m
+transform.cone_augment = lambda m, state: m
+failures = [transform.closure_battery(3).failure, transform.cone_battery(3).failure]
+transform.generated_submodel = lambda m, state: Model(Frame(m.frame.states, frozenset()))
+failures.append(transform.submodel_property_battery(3).failure)
+print(json.dumps(failures))
+"""
+
+
+def test_lost_property_failures_do_not_depend_on_the_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _LOST_PROPERTY_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+    closure, cone, submodel = runs[0]
+    assert closure.startswith("closure of {") and closure.endswith("} not Euclidean")
+    assert cone.startswith("augmentation of {") and cone.endswith(
+        "} at s1 lost transitivity or Euclideanness"
+    )
+    assert submodel.startswith("reflexive lost by the submodel of {")
+    frames = []
+    for text in (closure, cone, submodel):
+        model, _ = load_model(text[text.index("{") : text.rindex("}") + 1])
+        assert model.valuation == {}
+        frames.append(model.frame)
+    # the named frames are the ones whose unchanged copy fails the check
+    assert not has_property(frames[0], "euclidean") and not has_property(frames[1], "euclidean")
+    assert has_property(frames[2], "reflexive")
 
 
 def _unguarded_w_to_ri(f):
