@@ -79,28 +79,32 @@ def is_tautology(f: Formula) -> bool:
         )
     rows = 1 << len(letters)
     full = (1 << rows) - 1
-    # Truth-table columns packed into ints: bit v = value on row v.  They
-    # are not cached: a table may have 2^20 rows.
+    # Truth-table columns packed into ints: bit v = value on row v, kept
+    # for this table only (not across calls: a table may have 2^20 rows).
     column = {letter: atom_column(i, 1, rows) for i, letter in enumerate(letters)}
 
     def go(g: Formula) -> int:
-        if g in column:
-            return column[g]
+        col = column.get(g)
+        if col is not None:
+            return col
         if isinstance(g, Top):
-            return full
-        if isinstance(g, Bot):
-            return 0
-        if isinstance(g, Not):
-            return full ^ go(g.arg)
-        if isinstance(g, And):
-            return go(g.left) & go(g.right)
-        if isinstance(g, Or):
-            return go(g.left) | go(g.right)
-        if isinstance(g, Imp):
-            return (full ^ go(g.left)) | go(g.right)
-        if isinstance(g, Iff):
-            return full ^ (go(g.left) ^ go(g.right))
-        raise TypeError(f"not a formula: {g!r}")
+            col = full
+        elif isinstance(g, Bot):
+            col = 0
+        elif isinstance(g, Not):
+            col = full ^ go(g.arg)
+        elif isinstance(g, And):
+            col = go(g.left) & go(g.right)
+        elif isinstance(g, Or):
+            col = go(g.left) | go(g.right)
+        elif isinstance(g, Imp):
+            col = (full ^ go(g.left)) | go(g.right)
+        elif isinstance(g, Iff):
+            col = full ^ (go(g.left) ^ go(g.right))
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        column[g] = col  # a repeated subformula is evaluated once
+        return col
 
     return go(f) == full
 

@@ -6,19 +6,25 @@ deterministic first witnesses.  A countermodel verdict is conclusive
 invalidity; the absence of one is evidence only and is always reported
 with its budget.
 
-Search uses a bit-parallel evaluator: on a frame of ``k`` states, the
+Search uses a bit-parallel evaluator.  On one frame of ``k`` states the
 column of a formula is one int whose bit ``v*k + i`` is its truth at
 state ``i`` under valuation index ``v``, so its lowest set bit is the
-least ``(valuation, state)`` row: the witness order of every search and
-battery.  Every witness is re-checked by the independent recursive
-evaluator before a report is returned.
+least ``(valuation, state)`` row: the witness order of the batteries.
+A search packs a chunk of ``F`` same-size frames of its class into each
+column (bit ``(v*F + t)*k + i`` for the frame in slot ``t``) and takes
+the least slot with a false row, then that slot's least row: the same
+first witness as a frame-by-frame scan.  Class membership is computed
+once per class and size, as Boolean circuits over the edge bits of all
+relation masks, so a search builds a ``Frame`` only for its witness.
+Every witness is re-checked by the independent recursive evaluator
+before a report is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterator, Sequence
 
 from . import semantics
@@ -82,16 +88,25 @@ class VerdictReport:
 # Enumeration
 
 
-def enumerate_frames(max_states: int) -> Iterator[Frame]:
-    """All labeled frames on {s1..sk} for k <= max_states; 2^(k*k) per k."""
-    for k in range(1, max_states + 1):
-        states = tuple(f"s{i + 1}" for i in range(k))
-        pairs = [(states[i], states[j]) for i in range(k) for j in range(k)]
+@lru_cache(maxsize=16)
+def _labels(k: int) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    states = tuple(f"s{i + 1}" for i in range(k))
+    return states, tuple((s, t) for s in states for t in states)
+
+
+def frame_of_mask(k: int, mask: int) -> Frame:
+    """The frame on ``s1..sk`` with the edge ``s(i+1) -> s(j+1)`` iff bit
+    ``i*k + j`` of ``mask`` is set: frame number ``mask`` of size ``k``."""
+    states, pairs = _labels(k)
+    return Frame(states, frozenset(pairs[b] for b in range(k * k) if (mask >> b) & 1))
+
+
+def enumerate_frames(max_states: int, min_states: int = 1) -> Iterator[Frame]:
+    """All labeled frames on {s1..sk} for min_states <= k <= max_states,
+    2^(k*k) per k, in ascending mask order."""
+    for k in range(min_states, max_states + 1):
         for mask in range(1 << (k * k)):
-            relation = frozenset(
-                pairs[b] for b in range(k * k) if (mask >> b) & 1
-            )
-            yield Frame(states, relation)
+            yield frame_of_mask(k, mask)
 
 
 @lru_cache(maxsize=8)
@@ -103,9 +118,7 @@ def frames_up_to(max_states: int) -> Iterator[Frame]:
     # Cache only desk-scale enumerations; stream anything larger.
     if max_states <= 4:
         return iter(_frames_cached(max_states))
-    return chain(iter(_frames_cached(4)), (
-        fr for fr in enumerate_frames(max_states) if len(fr.states) > 4
-    ))
+    return chain(_frames_cached(4), enumerate_frames(max_states, min_states=5))
 
 
 def enumerate_models(frame: Frame, atoms: Sequence[str]) -> Iterator[Model]:
@@ -128,17 +141,92 @@ def model_at(frame: Frame, atoms: tuple[str, ...], index: int) -> Model:
 
 
 # ---------------------------------------------------------------------------
-# Bit-parallel evaluation over all valuations of a frame at once
+# Frame classes as bitsets over relation masks
+
+# Class members are found in blocks of 2^16 consecutive relation masks:
+# one block holds every frame of up to 4 states, and blocks of larger
+# frames are streamed, so 5 states (2^25 masks) fits in memory.
+_BLOCK_BITS = 16
+
+
+def _class_blocks(fc: FrameClass, k: int) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """The ``k``-state members of ``fc``, block by block: the number ``n``
+    of members in a block and, per edge ``e = i*k + j``, a string of ``n``
+    characters, ``"1"`` where the member lacks the edge, last member first.
+
+    Membership is the class circuit (``FrameClass.members``) over the edge
+    columns ``atom_column(e, 1, 2^(k*k))``: bit ``m`` is set iff mask ``m``
+    has edge ``e``.
+    """
+    width = k * k
+    low = min(width, _BLOCK_BITS)
+    size = 1 << low
+    full = (1 << size) - 1
+    low_cols = [atom_column(e, 1, size) for e in range(low)]
+    for block in range(1 << (width - low)):
+        cols = low_cols + [full if (block >> (e - low)) & 1 else 0 for e in range(low, width)]
+        members = fc.members([cols[i * k : (i + 1) * k] for i in range(k)], full)
+        # MSB first: character p stands for mask size - 1 - p.
+        pick = format(members, f"0{size}b").encode().translate(_ZERO_ONE)
+        yield members.bit_count(), tuple(
+            "".join(compress(format(full ^ col, f"0{size}b"), pick)) for col in cols
+        )
+
+
+_ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=64)
+def _class_blocks_cached(fc: FrameClass, k: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
+    """``_class_blocks`` kept for frames of up to 4 states: one block each."""
+    return tuple(_class_blocks(fc, k))
+
+
+def _slot_bits(chars: str, k: int) -> int:
+    """Bit ``t*k`` is set iff character ``t`` from the end is ``"1"``."""
+    # Each character is one base-2^k digit; int() reads bases up to 36.
+    return int(chars, 1 << k) if k <= 5 else int(("0" * (k - 1)).join(chars), 2)
+
+
+# Bits per packed column that a search chunk aims at.  An evaluator keeps
+# one column per subformula, so larger columns raise peak memory (2^21
+# was no faster than 2^18 on 4-state searches); much smaller ones pay
+# more interpreter overhead per frame.
+_CHUNK_BITS = 1 << 18
+
+
+def _class_chunks(fc: FrameClass, k: int, rows: int) -> Iterator["FrameChunk"]:
+    """The ``k``-state members of ``fc`` in ascending mask order, packed
+    into chunks of ``slots = 2^(k*c)`` frames each for ``rows`` valuations:
+    the most that fit ``_CHUNK_BITS``, and no more than a block's members."""
+    blocks = _class_blocks_cached(fc, k) if k <= 4 else _class_blocks(fc, k)
+    for n, lack in blocks:
+        slots = 1
+        while slots < n and (slots << k) * rows * k <= _CHUNK_BITS:
+            slots <<= k
+        for start in range(0, n, slots):
+            end = n - start  # member ``start`` is character ``end - 1``
+            lacks = tuple(_slot_bits(e[max(end - slots, 0) : end], k) for e in lack)
+            yield FrameChunk(k, slots, min(slots, end), lacks)
+
+
+# ---------------------------------------------------------------------------
+# Bit-parallel evaluation over all valuations of a chunk of frames at once
+
+
+def _replicate(pattern: int, width: int, count: int) -> int:
+    """``count`` (a power of two) copies of a ``width``-bit pattern, by doubling."""
+    n = 1
+    while n < count:
+        pattern |= pattern << (n * width)
+        n <<= 1
+    return pattern
 
 
 @lru_cache(maxsize=64)
 def _state_mask(k: int, rows: int) -> int:
-    """Bits 0, k, 2k, ..., (rows - 1)k: state 0 of every row, by doubling."""
-    mask, n = 1, 1
-    while n < rows:
-        mask |= mask << (n * k)
-        n <<= 1
-    return mask
+    """Bits 0, k, 2k, ..., (rows - 1)k: state 0 of every row."""
+    return _replicate(1, k, rows)
 
 
 def atom_column(pos: int, k: int, rows: int) -> int:
@@ -167,41 +255,93 @@ def atom_column(pos: int, k: int, rows: int) -> int:
 _atom_column = lru_cache(maxsize=4096)(atom_column)
 
 
-class FrameEvaluator:
-    """Truth columns over all valuations of ``atoms`` on a fixed frame.
+@dataclass(frozen=True)
+class FrameChunk:
+    """``live`` frames on ``s1..sk`` packed into ``slots`` slots, a power
+    of ``2^k``.  Bit ``t*k`` of ``lacks[i*k + j]`` is set iff the frame in
+    slot ``t`` lacks the edge ``s(i+1) -> s(j+1)``.  Slots from ``live``
+    on are padding: complete frames that never give a witness."""
 
-    ``columns(f)`` is one int whose bit ``v*k + i`` is the truth of ``f``
-    at state ``i`` under valuation index ``v``; ``full`` has all
-    ``rows * k`` bits set.  Columns are memoized by formula (structural
-    equality) for the lifetime of the evaluator, so equal subformulas
-    share one entry and batteries that reuse corpus formulas across
-    frames pay for each node once per frame.  With ``aux=True`` the IR
-    clause is the identity clause.
+    k: int
+    slots: int
+    live: int
+    lacks: tuple[int, ...]
+
+    @staticmethod
+    def of(frame: Frame) -> "FrameChunk":
+        """One frame, in the order of its state tuple."""
+        rel = frame.relation
+        lacks = tuple(int((s, t) not in rel) for s in frame.states for t in frame.states)
+        return FrameChunk(len(frame.states), 1, 1, lacks)
+
+    def mask(self, slot: int) -> int:
+        """The relation mask of the frame in ``slot`` (see ``frame_of_mask``)."""
+        shift = slot * self.k
+        return sum(1 << e for e, lack in enumerate(self.lacks) if not (lack >> shift) & 1)
+
+
+class FrameEvaluator:
+    """Truth columns over all valuations of ``atoms`` on a frame, or on a
+    chunk of same-size frames at once.
+
+    ``columns(f)`` is one int.  With ``F = slots`` frames of ``k`` states
+    and ``R`` valuations, bit ``(v*F + t)*k + i`` is the truth of ``f`` at
+    state ``i`` of the frame in slot ``t`` under valuation index ``v``:
+    row ``v*F + t`` is one model, and the slots act as low phantom atoms
+    of the row index.  ``full`` has all ``rows * k`` bits set, ``rows =
+    R*F``.  An edge that every slot has is a plain AND in the box clause,
+    one that no slot has drops out, and any other is ORed in as the
+    state-0 mask of the rows whose slot lacks it.  A one-frame evaluator
+    (``F = 1``, what batteries use) has bit ``v*k + i``.
+
+    The witness order is: least slot with a false row, then its least
+    ``(valuation, state)``; for ``F = 1`` that is the lowest set bit.
+    Columns are memoized by formula (structural equality) for the lifetime
+    of the evaluator, so equal subformulas share one entry and batteries
+    that reuse corpus formulas across frames pay for each node once per
+    frame.  With ``aux=True`` the IR clause is the identity clause.
     """
 
-    def __init__(self, frame: Frame, atoms: tuple[str, ...], aux: bool = False):
-        self.frame = frame
+    def __init__(self, frame: Frame | FrameChunk, atoms: tuple[str, ...], aux: bool = False):
+        if isinstance(frame, FrameChunk):
+            self.frame, self.chunk = None, frame
+        else:
+            self.frame, self.chunk = frame, FrameChunk.of(frame)
         self.atoms = atoms
         self.aux = aux
-        self.k = len(frame.states)
-        self.rows = 1 << (self.k * len(atoms))
-        self.full = (1 << (self.rows * self.k)) - 1
-        self.state_mask = _state_mask(self.k, self.rows)
-        index = {s: i for i, s in enumerate(frame.states)}
-        self.succ = [
-            tuple(index[t] for t in frame.successor_map[s]) for s in frame.states
-        ]
-        self.atom_pos = {a: i for i, a in enumerate(atoms)}
+        k = self.k = self.chunk.k
+        slots = self.slots = self.chunk.slots
+        valuations = 1 << (k * len(atoms))
+        self.rows = valuations * slots
+        self.full = (1 << (self.rows * k)) - 1
+        self.state_mask = _state_mask(k, self.rows)
+        phantom = (slots.bit_length() - 1) // k
+        self.atom_pos = {a: phantom + i for i, a in enumerate(atoms)}
+        absent = _state_mask(k, slots)  # the lacks of an edge no slot has
+        self.edges = [[] for _ in range(k)]
+        for e, lack in enumerate(self.chunk.lacks):
+            if lack != absent:
+                i, j = divmod(e, k)
+                self.edges[i].append((j, _replicate(lack, slots * k, valuations) if lack else None))
         self._memo: dict[Formula, int] = {}
 
-    def _box(self, c: int, succ: Sequence[Sequence[int]]) -> int:
-        """At each state ``i``: the AND of ``c`` over the states ``succ[i]``."""
+    def _box(self, c: int, edges: Sequence[Sequence[tuple[int, int | None]]]) -> int:
+        """At each state ``i``: the AND of ``c`` over the successors ``j``
+        of ``(j, lack)`` in ``edges[i]``, true in the rows ``lack`` marks."""
         mask = self.state_mask
         out = 0
-        for i, js in enumerate(succ):
+        if self.slots == 1:  # one frame: no lacks, and a narrow column is cheap to shift
+            for i, js in enumerate(edges):
+                acc = mask
+                for j, _ in js:
+                    acc &= c >> j
+                out |= acc << i
+            return out
+        shifted = [c >> j for j in range(self.k)]  # a wide column is shifted once per state
+        for i, js in enumerate(edges):
             acc = mask
-            for j in js:
-                acc &= c >> j
+            for j, lack in js:
+                acc &= shifted[j] if lack is None else shifted[j] | lack
             out |= acc << i
         return out
 
@@ -229,18 +369,18 @@ class FrameEvaluator:
         elif isinstance(g, Iff):
             col = full ^ self.columns(g.left) ^ self.columns(g.right)
         elif isinstance(g, Box):
-            col = self._box(self.columns(g.arg), self.succ)
+            col = self._box(self.columns(g.arg), self.edges)
         elif isinstance(g, W):
             c = self.columns(g.arg)
-            col = self._box(c, self.succ) & (full ^ c)
+            col = self._box(c, self.edges) & (full ^ c)
         elif isinstance(g, IR) and self.aux:
             col = self.columns(g.arg)
         elif isinstance(g, IR):
             c = self.columns(g.arg)
-            col = self._box(c, self.succ) & (full ^ c) | self._box(full ^ c, self.succ) & c
+            col = self._box(c, self.edges) & (full ^ c) | self._box(full ^ c, self.edges) & c
         elif isinstance(g, FI):
             c = self.columns(g.arg)
-            others = [[j for j in js if j != i] for i, js in enumerate(self.succ)]
+            others = [[e for e in js if e[0] != i] for i, js in enumerate(self.edges)]
             col = c & self._box(full ^ c, others)
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -248,17 +388,37 @@ class FrameEvaluator:
         return col
 
     def valid(self, g: Formula) -> bool:
-        """True iff ``g`` has no false row: it holds at every state and valuation."""
-        return self.columns(g) == self.full
+        """True iff ``g`` has no false row: it holds at every state and
+        valuation of every frame (padding slots aside)."""
+        return self.least_row(self.full ^ self.columns(g)) is None
 
     def least_row(self, bad: int) -> tuple[int, int] | None:
-        """The least ``(valuation, state index)`` row set in ``bad``, or None."""
-        return divmod((bad & -bad).bit_length() - 1, self.k) if bad else None
+        """The first ``(row, state index)`` set in ``bad`` in witness order,
+        or None; padding slots are skipped."""
+        if not bad:
+            return None
+        k, slots = self.k, self.slots
+        slot = 0
+        if slots > 1:
+            # OR the rows of all valuations onto one row per slot.
+            folded, width = bad, self.rows * k
+            while width > slots * k:
+                width >>= 1
+                folded = folded & ((1 << width) - 1) | folded >> width
+            folded &= (1 << (self.chunk.live * k)) - 1
+            if not folded:
+                return None
+            slot = ((folded & -folded).bit_length() - 1) // k
+            bad = bad >> (slot * k) & _replicate((1 << k) - 1, slots * k, self.rows // slots)
+        v, i = divmod((bad & -bad).bit_length() - 1, slots * k)
+        return v * slots + slot, i
 
     def witness(self, row: tuple[int, int]) -> tuple[Model, str]:
-        """The pointed model of a ``(valuation, state index)`` row."""
-        v, i = row
-        return model_at(self.frame, self.atoms, v), self.frame.states[i]
+        """The pointed model of a ``(row, state index)`` pair."""
+        r, i = row
+        v, slot = divmod(r, self.slots)
+        frame = self.frame if self.frame is not None else frame_of_mask(self.k, self.chunk.mask(slot))
+        return model_at(frame, self.atoms, v), frame.states[i]
 
     def describe(self, row: tuple[int, int]) -> str:
         """``<state> of <model JSON>``: a row as battery failures name it."""
@@ -289,14 +449,16 @@ def _search(
     val_atoms = tuple(a for a in budget.atoms if a in needed)
     frames_examined = 0
     models_examined = 0
-    for frame in frames_up_to(budget.max_states):
-        if not fc.contains(frame):
-            continue
-        frames_examined += 1
-        ev = FrameEvaluator(frame, val_atoms, aux=aux)
-        models_examined += ev.rows
-        row = ev.least_row(ev.full ^ ev.columns(f))
-        if row is not None:
+    for k in range(1, budget.max_states + 1):
+        valuations = 1 << (k * len(val_atoms))
+        for chunk in _class_chunks(fc, k, valuations):
+            ev = FrameEvaluator(chunk, val_atoms, aux=aux)
+            row = ev.least_row(ev.full ^ ev.columns(f))
+            seen = chunk.live if row is None else row[0] % chunk.slots + 1
+            frames_examined += seen
+            models_examined += seen * valuations
+            if row is None:
+                continue
             model, state = ev.witness(row)
             check = (
                 semantics.evaluate_aux if aux else semantics.evaluate

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
+from operator import or_
 from typing import Iterable, Mapping
 
 from .syntax import (
@@ -254,6 +256,39 @@ PROPERTIES = {
 }
 
 
+def _pairs(x):
+    return product(range(len(x)), repeat=2)
+
+
+def _triples(x):
+    return product(range(len(x)), repeat=3)
+
+
+# The same properties as Boolean circuits over edge columns: ``x[i][j]``
+# is an int whose bit ``m`` says whether frame ``m`` of a family has the
+# edge from state ``i`` to state ``j``.  Each entry yields the violation
+# terms of a property; a term may be negative (``~x`` is ``-x - 1``), which
+# is harmless because only ``full & ~(OR of the terms)`` is read.
+VIOLATIONS = {
+    "reflexive": lambda x: (~x[a][a] for a in range(len(x))),
+    "serial": lambda x: (~reduce(or_, row) for row in x),
+    "transitive": lambda x: (x[a][b] & x[b][c] & ~x[a][c] for a, b, c in _triples(x)),
+    "euclidean": lambda x: (x[a][b] & x[a][c] & ~x[b][c] for a, b, c in _triples(x)),
+    "symmetric": lambda x: (x[a][b] & ~x[b][a] for a, b in _pairs(x)),
+    "secondarily-reflexive": lambda x: (x[a][b] & ~x[b][b] for a, b in _pairs(x)),
+    "narcissistic": lambda x: (~x[a][a] if a == b else x[a][b] for a, b in _pairs(x)),
+    "partially-narcissistic": lambda x: (x[a][b] for a, b in _pairs(x) if a != b),
+    "partial-functional": lambda x: (x[a][b] & x[a][c] for a, b, c in _triples(x) if b < c),
+    "weakly-connected": lambda x: (
+        x[a][b] & x[a][c] & ~x[b][c] & ~x[c][b] for a, b, c in _triples(x) if b != c
+    ),
+    "weakly-directed": lambda x: (
+        x[a][b] & x[a][c] & ~reduce(or_, (x[b][v] & x[c][v] for v in range(len(x))))
+        for a, b, c in _triples(x)
+    ),
+}
+
+
 def has_property(frame: Frame, name: str) -> bool:
     """Decide the named first-order condition by exhaustive quantification."""
     try:
@@ -276,6 +311,17 @@ class FrameClass:
 
     def contains(self, frame: Frame) -> bool:
         return all(has_property(frame, p) for p in self.properties)
+
+    def members(self, x: list[list[int]], full: int) -> int:
+        """Membership of a family of ``k``-state frames as one bitset:
+        given edge columns ``x[i][j]`` of the family (see ``VIOLATIONS``),
+        bit ``m`` of the result is set iff frame ``m`` is in the class.
+        ``full`` sets one bit per frame of the family."""
+        bad = 0
+        for p in self.properties:
+            for term in VIOLATIONS[p](x):
+                bad |= term
+        return full & ~bad
 
     def describe(self) -> str:
         return "+".join(sorted(self.properties)) if self.properties else "all"

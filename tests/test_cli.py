@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,3 +315,15 @@ def test_least_corpus_bounds_check_the_atoms(capsys, pair_file):
     argv = ["transform", "closure", pair_file, "--verify", "--depth", "0", "--size", "1"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.rstrip().endswith("preservation: ok over 1 formulas")
+
+
+@pytest.mark.parametrize("formula, want", [("W p -> ~p", 0), ("~W F", 1)])
+def test_python_dash_m_runs_the_cli(formula, want):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "doxa", "valid", formula, "--max-states", "1"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == want, done.stderr
+    assert done.stdout.startswith(f"validity of {formula} on all frames")

@@ -1,3 +1,6 @@
+from contextlib import contextmanager
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,18 +19,23 @@ from doxa.oracle import (
     enumerate_frames,
     enumerate_models,
     find_countermodel,
+    frame_of_mask,
     frames_up_to,
     model_at,
     valid_on,
     wrong_false_at_reflexive,
 )
 from doxa.semantics import (
+    PROPERTIES,
+    VIOLATIONS,
     Frame,
+    FrameClass,
     Model,
     dump_model,
     evaluate,
     evaluate_aux,
     frame_class,
+    has_property,
     load_model,
 )
 from doxa.syntax import (
@@ -43,6 +51,7 @@ from doxa.syntax import (
     Or,
     Top,
     W,
+    atoms_of,
     parse,
     print_formula,
     subformulas,
@@ -68,6 +77,21 @@ def test_enumerate_frames_deterministic_order():
     assert first == second
     assert first[0].relation == frozenset()
     assert first[1].relation == {("s1", "s1")}
+
+
+def test_frames_past_the_cache_start_at_five_states(monkeypatch):
+    cached = len(tuple(frames_up_to(4)))
+    built = []
+
+    def counted(k, mask):
+        built.append((k, mask))
+        return frame_of_mask(k, mask)
+
+    monkeypatch.setattr(oracle, "frame_of_mask", counted)
+    frames = list(islice(frames_up_to(5), cached + 3))
+    assert frames[:cached] == list(frames_up_to(4))
+    assert frames[cached:] == [frame_of_mask(5, m) for m in range(3)]
+    assert built == [(5, 0), (5, 1), (5, 2)]  # nothing below 5 states is rebuilt
 
 
 def test_enumerate_models_counts():
@@ -396,8 +420,8 @@ def test_wrong_false_failure_names_least_row(monkeypatch):
 
     box = FrameEvaluator._box
 
-    def box_without_loops(self, c, succ):
-        return box(self, c, [[j for j in js if j != i] for i, js in enumerate(succ)])
+    def box_without_loops(self, c, edges):
+        return box(self, c, [[e for e in es if e[0] != i] for i, es in enumerate(edges)])
 
     monkeypatch.setattr(FrameEvaluator, "_box", box_without_loops)
     monkeypatch.setattr(oracle, "frames_up_to", lambda n: iter([frame]))
@@ -412,3 +436,176 @@ def test_wrong_false_failure_names_least_row(monkeypatch):
     named_model, _ = load_model(named)
     assert (state, state) in named_model.frame.relation
     assert evaluate(named_model, state, formula) is False
+
+
+# --- frame classes as circuits, and the frame-packed search -----------------
+
+
+def _edge_columns(k, masks):
+    """x[i][j]: bit n is set iff masks[n] has the edge i -> j."""
+    return [
+        [sum(1 << n for n, m in enumerate(masks) if m >> (i * k + j) & 1) for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def test_class_circuits_match_the_first_order_properties():
+    assert set(VIOLATIONS) == set(PROPERTIES)
+    samples = [(k, range(1 << (k * k))) for k in (1, 2, 3)] + [(4, range(5, 1 << 16, 61))]
+    for k, masks in samples:
+        masks = list(masks)
+        x, full = _edge_columns(k, masks), (1 << len(masks)) - 1
+        frames = [frame_of_mask(k, m) for m in masks]
+        for p in PROPERTIES:
+            bits = FrameClass(frozenset([p])).members(x, full)
+            assert bits == sum(1 << n for n, fr in enumerate(frames) if has_property(fr, p)), (k, p)
+    # A class is the conjunction of its properties.
+    x, full = _edge_columns(3, range(512)), (1 << 512) - 1
+    both = frame_class("serial+transitive").members(x, full)
+    assert both == frame_class("serial").members(x, full) & frame_class("transitive").members(x, full)
+
+
+_SEARCH_CLASSES = tuple(
+    frame_class(c)
+    for c in (
+        "all", "serial", "reflexive", "transitive", "euclidean", "symmetric",
+        "serial+transitive", "serial+euclidean", "partial-functional",
+    )
+)
+
+
+def _brute_search(f, fc, budget, aux):
+    """The per-frame search as a reference: (verdict, frames, models,
+    witness JSON, state) from frames_up_to, the class filter and the
+    recursive evaluator."""
+    atoms = tuple(a for a in budget.atoms if a in atoms_of(f))
+    ev = evaluate_aux if aux else evaluate
+    frames = models = 0
+    for frame in frames_up_to(budget.max_states):
+        if not fc.contains(frame):
+            continue
+        frames += 1
+        rows = 1 << (len(frame.states) * len(atoms))
+        models += rows
+        for v in range(rows):
+            model = model_at(frame, atoms, v)
+            for s in frame.states:
+                if not ev(model, s, f):
+                    return COUNTERMODEL, frames, models, dump_model(model), s
+    return NO_COUNTERMODEL, frames, models, None, None
+
+
+def _summary(report):
+    witness = report.witness
+    return (
+        report.verdict,
+        report.frames_examined,
+        report.models_examined,
+        None if witness is None else dump_model(witness[0]),
+        None if witness is None else witness[1],
+    )
+
+
+# Column budgets from a few frames per chunk to the default: small ones
+# split a class into many chunks, most with a padded last one.
+_chunk_bits = st.sampled_from([64, 512, 4096, oracle._CHUNK_BITS])
+
+
+@contextmanager
+def _chunk_budget(bits):
+    saved, oracle._CHUNK_BITS = oracle._CHUNK_BITS, bits
+    try:
+        yield
+    finally:
+        oracle._CHUNK_BITS = saved
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _formulas(W, Box, IR, FI),
+    st.sampled_from(_SEARCH_CLASSES),
+    st.integers(1, 3),
+    st.booleans(),
+    _chunk_bits,
+)
+def test_search_matches_the_per_frame_scan(f, fc, states, countermodel, bits):
+    budget = SearchBudget(max_states=states, atoms=("p", "q"))
+    search = find_countermodel if countermodel else valid_on
+    for g in (f, Or(f, Not(f))):  # the second is an exhaustive search
+        with _chunk_budget(bits):
+            report = search(g, fc, budget)
+        assert _summary(report) == _brute_search(g, fc, budget, aux=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_formulas(IR), st.sampled_from(_SEARCH_CLASSES), st.integers(1, 3), _chunk_bits)
+def test_aux_search_matches_the_per_frame_scan(f, fc, states, bits):
+    budget = SearchBudget(max_states=states, atoms=("p", "q"))
+    for g in (f, Or(f, Not(f))):
+        with _chunk_budget(bits):
+            report = aux_valid_on(g, fc, budget)
+        assert _summary(report) == _brute_search(g, fc, budget, aux=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _formulas(W, Box, IR, FI),
+    st.sampled_from(_SEARCH_CLASSES),
+    st.integers(1, 3),
+    st.booleans(),
+    _chunk_bits,
+)
+def test_packed_columns_match_one_frame_columns(f, fc, k, aux, bits):
+    atoms = ("p", "q")
+    valuations = 1 << (k * len(atoms))
+    with _chunk_budget(bits):
+        chunks = list(oracle._class_chunks(fc, k, valuations))
+    members = [m for m in range(1 << (k * k)) if fc.contains(frame_of_mask(k, m))]
+    assert [c.mask(t) for c in chunks for t in range(c.live)] == members
+    state = (1 << k) - 1
+    for chunk in chunks:
+        ev = FrameEvaluator(chunk, atoms, aux=aux)
+        col, slots = ev.columns(f), chunk.slots
+        for t in range(chunk.live):
+            one = FrameEvaluator(frame_of_mask(k, chunk.mask(t)), atoms, aux=aux)
+            want = one.columns(f)
+            for v in range(valuations):
+                assert (col >> ((v * slots + t) * k)) & state == (want >> (v * k)) & state
+
+
+def test_five_state_members_stream_in_mask_order():
+    # Above 4 states members come in blocks of 2^16 masks; check the first
+    # chunks of the first block against the first-order filter.
+    for fc in (frame_class("all"), frame_class("symmetric")):
+        chunks = islice(oracle._class_chunks(fc, 5, 1 << 10), 2)  # 32 frames each
+        got = [c.mask(t) for c in chunks for t in range(c.live)]
+        want = list(islice((m for m in range(1 << 16) if fc.contains(frame_of_mask(5, m))), len(got)))
+        assert len(got) == 64 and got == want
+
+
+def test_witnesses_in_later_and_padded_chunks(monkeypatch):
+    # With this budget, 2-state frames over one atom come 4 to a chunk.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 64)
+    budget = SearchBudget(max_states=2, atoms=("p",))
+    functional, euclidean = frame_class("partial-functional"), frame_class("euclidean")
+    # partial-functional masks 0 1 2 4 | 5 6 8 9 | 10 + 3 padding slots;
+    # euclidean masks 0 1 5 8 | 9 10 15 + 1 padding slot.
+    assert [c.live for c in oracle._class_chunks(functional, 2, 4)] == [4, 4, 1]
+    assert [c.live for c in oracle._class_chunks(euclidean, 2, 4)] == [4, 3]
+    cases = [
+        (functional, "B B ~W p", 6),  # slot 1 of the second chunk
+        (euclidean, "B FI ~IR p", 15),  # slot 2 of the padded last chunk
+        (functional, "B p | B ~p", None),  # false only on the padding
+    ]
+    for fc, text, mask in cases:
+        f = parse(text)
+        report = valid_on(f, fc, budget)
+        assert _summary(report) == _brute_search(f, fc, budget, aux=False)
+        if mask is None:
+            assert report.verdict == NO_COUNTERMODEL
+        else:
+            assert report.witness[0].frame == frame_of_mask(2, mask)
+    # The padding slots (complete frames) do falsify B p | B ~p.
+    last = FrameEvaluator(list(oracle._class_chunks(functional, 2, 4))[-1], ("p",))
+    f = parse("B p | B ~p")
+    assert last.columns(f) != last.full and last.valid(f)
