@@ -330,14 +330,7 @@ class FrameEvaluator:
         of ``(j, lack)`` in ``edges[i]``, true in the rows ``lack`` marks."""
         mask = self.state_mask
         out = 0
-        if self.slots == 1:  # one frame: no lacks, and a narrow column is cheap to shift
-            for i, js in enumerate(edges):
-                acc = mask
-                for j, _ in js:
-                    acc &= c >> j
-                out |= acc << i
-            return out
-        shifted = [c >> j for j in range(self.k)]  # a wide column is shifted once per state
+        shifted = [c >> j for j in range(self.k)]  # each state's shift is shared by its edges
         for i, js in enumerate(edges):
             acc = mask
             for j, lack in js:
