@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import hilbert, oracle, registry, semantics, transform
@@ -257,6 +258,9 @@ def cmd_verify_paper(args) -> int:
     return 1 if any(outcome.status == registry.FAIL for _c, outcome in results) else 0
 
 
+# Built once per process: ``main`` only parses, and every default that can
+# change between calls (``DOXA_MAX_STATES``) is read by the commands.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="doxa",

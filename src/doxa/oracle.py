@@ -9,15 +9,17 @@ with its budget.
 Search uses a bit-parallel evaluator.  On one frame of ``k`` states the
 column of a formula is one int whose bit ``v*k + i`` is its truth at
 state ``i`` under valuation index ``v``, so its lowest set bit is the
-least ``(valuation, state)`` row: the witness order of the batteries.
-A search packs a chunk of ``F`` same-size frames of its class into each
-column (bit ``(v*F + t)*k + i`` for the frame in slot ``t``) and takes
-the least slot with a false row, then that slot's least row: the same
-first witness as a frame-by-frame scan.  Class membership is computed
-once per class and size, as Boolean circuits over the edge bits of all
-relation masks, so a search builds a ``Frame`` only for its witness.
-Every witness is re-checked by the independent recursive evaluator
-before a report is returned.
+least ``(valuation, state)`` row.  Searches and batteries pack a chunk
+of ``F`` same-size frames into each column (bit ``(v*F + t)*k + i`` for
+the frame in slot ``t``).  A search takes the least slot with a false
+row, then that slot's least row: the same first witness as a
+frame-by-frame scan.  A battery checks a list of items on every frame
+and takes the least slot where any item fails, then the earliest such
+item: the first failure of a scan frame by frame, item by item.  Class
+membership is computed once per class and size, as Boolean circuits
+over the edge bits of all relation masks, so a search builds a
+``Frame`` only for its witness.  Every search witness is re-checked by
+the independent recursive evaluator before a report is returned.
 """
 
 from __future__ import annotations
@@ -25,12 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import semantics
 from .semantics import ALL_FRAMES, Frame, FrameClass, Model
 from .syntax import (
+    BINARY_TYPES,
     FI,
+    MODAL_TYPES,
     IR,
     And,
     Atom,
@@ -251,6 +255,24 @@ def atom_column(pos: int, k: int, rows: int) -> int:
     return out
 
 
+def _last_uses(formulas: Sequence[Formula], seen: set[Formula]) -> list[list[Formula]]:
+    """For each of ``formulas``, the subformulas not in ``seen`` that no
+    later formula has."""
+    last: list[list[Formula]] = [[] for _ in formulas]
+    for n in range(len(formulas) - 1, -1, -1):  # the first visit is the last use
+        stack = [formulas[n]]
+        while stack:
+            g = stack.pop()
+            if g not in seen:
+                seen.add(g)
+                last[n].append(g)
+                if isinstance(g, BINARY_TYPES):
+                    stack += g.left, g.right
+                elif isinstance(g, (Not, *MODAL_TYPES)):
+                    stack.append(g.arg)
+    return last
+
+
 # Frame evaluators share atom columns across frames of one size.
 _atom_column = lru_cache(maxsize=4096)(atom_column)
 
@@ -268,11 +290,17 @@ class FrameChunk:
     lacks: tuple[int, ...]
 
     @staticmethod
-    def of(frame: Frame) -> "FrameChunk":
-        """One frame, in the order of its state tuple."""
-        rel = frame.relation
-        lacks = tuple(int((s, t) not in rel) for s in frame.states for t in frame.states)
-        return FrameChunk(len(frame.states), 1, 1, lacks)
+    def of(frames: Sequence[Frame], slots: int = 1) -> "FrameChunk":
+        """``frames`` of one size, each in the order of its state tuple, in
+        slots ``0, 1, ...`` of ``slots``; the slots after them are padding."""
+        k = len(frames[0].states)
+        # One string of lack flags per frame, last frame first; a column of
+        # the strings is an edge's ``_slot_bits`` digits.
+        flags = [
+            "".join("0" if (s, t) in fr.relation else "1" for s in fr.states for t in fr.states)
+            for fr in reversed(frames)
+        ]
+        return FrameChunk(k, slots, len(frames), tuple(_slot_bits("".join(e), k) for e in zip(*flags)))
 
     def mask(self, slot: int) -> int:
         """The relation mask of the frame in ``slot`` (see ``frame_of_mask``)."""
@@ -292,21 +320,23 @@ class FrameEvaluator:
     R*F``.  An edge that every slot has is a plain AND in the box clause,
     one that no slot has drops out, and any other is ORed in as the
     state-0 mask of the rows whose slot lacks it.  A one-frame evaluator
-    (``F = 1``, what batteries use) has bit ``v*k + i``.
+    (``F = 1``) has bit ``v*k + i``.
 
-    The witness order is: least slot with a false row, then its least
-    ``(valuation, state)``; for ``F = 1`` that is the lowest set bit.
-    Columns are memoized by formula (structural equality) for the lifetime
-    of the evaluator, so equal subformulas share one entry and batteries
-    that reuse corpus formulas across frames pay for each node once per
-    frame.  With ``aux=True`` the IR clause is the identity clause.
+    The witness order (``least_row``) is: least slot with a set bit, then
+    its least ``(valuation, state)``; for ``F = 1`` that is the lowest set
+    bit.  The battery rule (``first_failure``) takes the least slot over
+    a list of items, ties going to the earliest item.  Columns are
+    memoized by formula (structural equality) for the lifetime of the
+    evaluator, so equal subformulas share one entry and a battery pays
+    for each node of its corpus once per chunk.  With ``aux=True`` the IR
+    clause is the identity clause.
     """
 
     def __init__(self, frame: Frame | FrameChunk, atoms: tuple[str, ...], aux: bool = False):
         if isinstance(frame, FrameChunk):
             self.frame, self.chunk = None, frame
         else:
-            self.frame, self.chunk = frame, FrameChunk.of(frame)
+            self.frame, self.chunk = frame, FrameChunk.of([frame])
         self.atoms = atoms
         self.aux = aux
         k = self.k = self.chunk.k
@@ -380,6 +410,16 @@ class FrameEvaluator:
         memo[g] = col
         return col
 
+    def each_column(self, formulas: Sequence[Formula]) -> Iterator[int]:
+        """``columns(f)`` for each of ``formulas`` in turn.  A column first
+        memoized here is dropped after the last of ``formulas`` that has it
+        as a subformula, so a battery holds only the columns still ahead."""
+        memo = self._memo
+        for f, drop in zip(formulas, _last_uses(formulas, set(memo))):
+            yield self.columns(f)
+            for g in drop:
+                del memo[g]
+
     def valid(self, g: Formula) -> bool:
         """True iff ``g`` has no false row: it holds at every state and
         valuation of every frame (padding slots aside)."""
@@ -405,6 +445,21 @@ class FrameEvaluator:
             bad = bad >> (slot * k) & _replicate((1 << k) - 1, slots * k, self.rows // slots)
         v, i = divmod((bad & -bad).bit_length() - 1, slots * k)
         return v * slots + slot, i
+
+    def first_failure(self, bads: Iterable[int]) -> tuple[int, int, tuple[int, int]] | None:
+        """The battery witness rule.  ``bads`` are the bad columns of a
+        battery's items in order; the failure is the least slot with a set
+        bit, ties going to the earliest item, as ``(slot, item index, row)``
+        with ``row`` that item's first row in the slot, or None.  So it is
+        where a scan frame by frame, item by item, would stop first."""
+        best = None
+        for n, bad in enumerate(bads):
+            row = self.least_row(bad)
+            if row is not None and (best is None or row[0] % self.slots < best[0]):
+                best = row[0] % self.slots, n, row
+                if best[0] == 0:
+                    break
+        return best
 
     def witness(self, row: tuple[int, int]) -> tuple[Model, str]:
         """The pointed model of a ``(row, state index)`` pair."""
@@ -631,24 +686,33 @@ class BatteryReport:
 def wrong_false_at_reflexive(
     max_states: int = 3, budget: SearchBudget = SearchBudget(atoms=("p",))
 ) -> BatteryReport:
-    """W g is false at every reflexive state, for every corpus g and model."""
+    """W g is false at every reflexive state, for every corpus g and model;
+    a case is one frame with a reflexive state and one g."""
     wrapped = [W(g) for g in corpus_for(budget)]
     checked = 0
-    for frame in frames_up_to(max_states):
-        refl = [i for i, s in enumerate(frame.states) if (s, s) in frame.relation]
-        if not refl:
-            continue
-        ev = FrameEvaluator(frame, budget.atoms)
-        keep = sum(ev.state_mask << i for i in refl)  # disjoint bits: an OR
-        for wg in wrapped:
-            checked += 1
-            row = ev.least_row(ev.columns(wg) & keep)
-            if row is not None:
-                return BatteryReport(
-                    "wrong-false-at-reflexive",
-                    checked,
-                    f"{print_formula(wg)} true at reflexive state {ev.describe(row)}",
-                )
+    for k in range(1, max_states + 1):
+        valuations = 1 << (k * len(budget.atoms))
+        for chunk in _class_chunks(ALL_FRAMES, k, valuations):
+            ev = FrameEvaluator(chunk, budget.atoms)
+            # State i counts in the rows whose slot has the loop i -> i.
+            loops = [chunk.lacks[i * k + i] for i in range(k)]
+            keep = 0
+            for i, lack in enumerate(loops):
+                keep |= (ev.state_mask ^ _replicate(lack, chunk.slots * k, valuations)) << i
+            hit = ev.first_failure(c & keep for c in ev.each_column(wrapped))
+            live = _state_mask(k, chunk.slots) & ((1 << (chunk.live * k)) - 1)
+            loopless = live  # bit t*k: the frame in slot t has no loop
+            for lack in loops:
+                loopless &= lack
+            reflexive = live ^ loopless
+            if hit is None:
+                checked += reflexive.bit_count() * len(wrapped)
+                continue
+            slot, n, row = hit
+            before = reflexive & ((1 << (slot * k)) - 1)
+            return BatteryReport(
+                "wrong-false-at-reflexive",
+                checked + before.bit_count() * len(wrapped) + n + 1,
+                f"{print_formula(wrapped[n])} true at reflexive state {ev.describe(row)}",
+            )
     return BatteryReport("wrong-false-at-reflexive", checked)
-
-

@@ -233,7 +233,7 @@ def verify_preservation(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive construction batteries (bit-parallel over valuations)
+# Exhaustive construction batteries (bit-parallel over valuations and frames)
 
 
 def _preservation_battery(
@@ -243,27 +243,51 @@ def _preservation_battery(
 ) -> oracle.BatteryReport:
     """Over every frame in ``admits``: each ``(root, built)`` construction
     lies in ``keeps`` (else fails with ``lost``, formatted with ``root``
-    and the frame's model JSON) and preserves the corpus at every state."""
+    and the frame's model JSON) and preserves the corpus at every state.
+
+    The ``(frame, built)`` items of each chunk of admitted frames are
+    packed slot by slot into two chunks, so a corpus formula is evaluated
+    once per side and chunk; a case is one item."""
     corpus = oracle.corpus_for(budget)
     checked = 0
-    for frame in oracle.frames_up_to(max_states):
-        if not admits.contains(frame):
-            continue
-        ev = None
-        for root, built in constructions(frame):
-            checked += 1
-            if not keeps.contains(built):
-                named = semantics.dump_model(Model(frame))
-                return oracle.BatteryReport(name, checked, lost.format(frame=named, root=root))
-            ev = ev or oracle.FrameEvaluator(frame, budget.atoms)
-            ev_built = oracle.FrameEvaluator(built, budget.atoms)
-            for f in corpus:
-                row = ev.least_row(ev.columns(f) ^ ev_built.columns(f))
-                if row is not None:
-                    return oracle.BatteryReport(
-                        name, checked, f"{print_formula(f)} changes truth at {ev.describe(row)}"
-                    )
+    for k in range(1, max_states + 1):
+        for chunk in oracle._class_chunks(admits, k, 1 << (k * len(budget.atoms))):
+            items, failure = [], None
+            for t in range(chunk.live):
+                frame = oracle.frame_of_mask(k, chunk.mask(t))
+                for root, built in constructions(frame):
+                    if not keeps.contains(built):
+                        failure = lost.format(frame=semantics.dump_model(Model(frame)), root=root)
+                        break
+                    items.append((frame, built))
+                if failure is not None:
+                    break
+            # The items before a lost property are checked first.
+            for start in range(0, len(items), chunk.slots):
+                batch = items[start : start + chunk.slots]
+                change = _first_change(batch, chunk.slots, corpus, budget.atoms)
+                if change is not None:
+                    slot, text = change
+                    return oracle.BatteryReport(name, checked + slot + 1, text)
+                checked += len(batch)
+            if failure is not None:
+                return oracle.BatteryReport(name, checked + 1, failure)
     return oracle.BatteryReport(name, checked)
+
+
+def _first_change(
+    items: list[tuple[Frame, Frame]], slots: int, corpus: tuple[Formula, ...], atoms: tuple[str, ...]
+) -> tuple[int, str] | None:
+    """The first item (its slot) and corpus formula whose truth differs
+    between the frame and the built frame of an item, and its text."""
+    frames, built = zip(*items)
+    ev = oracle.FrameEvaluator(oracle.FrameChunk.of(frames, slots), atoms)
+    ev_built = oracle.FrameEvaluator(oracle.FrameChunk.of(built, slots), atoms)
+    hit = ev.first_failure(a ^ b for a, b in zip(ev.each_column(corpus), ev_built.each_column(corpus)))
+    if hit is None:
+        return None
+    slot, n, row = hit
+    return slot, f"{print_formula(corpus[n])} changes truth at {ev.describe(row)}"
 
 
 def closure_battery(
@@ -348,15 +372,18 @@ def translation_battery(
         raise ValueError(f"unknown direction {direction!r}")
     name = f"translation-{direction}"
     checked = 0
-    for frame in oracle.frames_up_to(max_states):
-        ev = oracle.FrameEvaluator(frame, budget.atoms)
-        for f, g in pairs:
-            checked += 1
-            row = ev.least_row(ev.columns(f) ^ ev.columns(g))
-            if row is not None:
+    for k in range(1, max_states + 1):
+        for chunk in oracle._class_chunks(ALL_FRAMES, k, 1 << (k * len(budget.atoms))):
+            ev = oracle.FrameEvaluator(chunk, budget.atoms)
+            cols = ev.each_column([h for pair in pairs for h in pair])
+            hit = ev.first_failure(a ^ b for a, b in zip(cols, cols))  # f, g of each pair
+            if hit is not None:
+                slot, n, row = hit
+                f, g = pairs[n]
                 return oracle.BatteryReport(
                     name,
-                    checked,
+                    checked + slot * len(pairs) + n + 1,
                     f"{print_formula(f)} vs {print_formula(g)} differ at {ev.describe(row)}",
                 )
+            checked += chunk.live * len(pairs)
     return oracle.BatteryReport(name, checked)

@@ -213,6 +213,25 @@ def test_verify_paper_env_budget(capsys, monkeypatch):
     assert code == 2
 
 
+def test_env_budget_is_read_on_every_call(capsys, monkeypatch):
+    # The parser is built once per process; the budget default is not.
+    for states in ("1", "2", "1"):
+        monkeypatch.setenv("DOXA_MAX_STATES", states)
+        code, out, _ = run(capsys, "valid", "W p -> ~p", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["query"].endswith(f"up to {states} states")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fmt, golden", [("text", "paper-3.txt"), ("json", "paper-3.json")])
+def test_verify_paper_matches_the_golden_report(capsys, fmt, golden):
+    code, out, _ = run(capsys, "verify-paper", "--max-states", "3", "--format", fmt)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_verify_paper_json_deterministic(capsys):
     code1, out1, _ = run(
         capsys, "verify-paper", "--filter", "chain-*", "--format", "json"

@@ -396,6 +396,21 @@ def test_memo_is_keyed_on_the_formula(frame, f):
     assert len(ev._memo) == entries
 
 
+@settings(max_examples=60, deadline=None)
+@given(_small_frames, st.lists(_formulas(W, Box, IR, FI), max_size=6), st.lists(_formulas(W, Box, IR, FI), max_size=2))
+def test_each_column_drops_only_what_no_later_formula_needs(frame, fs, known):
+    ev, fresh = FrameEvaluator(frame, ("p", "q")), FrameEvaluator(frame, ("p", "q"))
+    for g in known:  # columns memoized before the call are kept
+        ev.columns(g)
+    kept = dict(ev._memo)
+    cols = ev.each_column(fs)
+    for n, f in enumerate(fs):
+        assert next(cols) == fresh.columns(f)
+        ahead = {h for g in fs[n:] for h in subformulas(g)}
+        assert set(ev._memo) <= set(kept) | ahead
+    assert list(cols) == [] and ev._memo == kept
+
+
 def test_atom_column_by_doubling():
     # bits past the range (atom positions beyond the valuation) give 0
     for k in range(1, 4):
@@ -412,25 +427,40 @@ def test_atom_column_by_doubling():
 
 
 def test_wrong_false_failure_names_least_row(monkeypatch):
-    # A kernel whose box ignores self-loops makes W p true at reflexive
-    # states.  On this frame W p is wrongly true at s1 only under
-    # valuation 2 (p at s2) and at s2 already under valuation 0, so the
-    # least (valuation, state) row is s2 with p nowhere.
-    frame = Frame.of(["s1", "s2"], [("s1", "s1"), ("s1", "s2"), ("s2", "s2")])
-
+    # A kernel whose box ignores self-loops makes W g true at reflexive
+    # states.  The battery's first failure must be where a one-frame scan,
+    # frame by frame, formula by formula, first meets a reflexive state
+    # with W g true, at its least (valuation, state) row.
     box = FrameEvaluator._box
 
     def box_without_loops(self, c, edges):
         return box(self, c, [[e for e in es if e[0] != i] for i, es in enumerate(edges)])
 
     monkeypatch.setattr(FrameEvaluator, "_box", box_without_loops)
-    monkeypatch.setattr(oracle, "frames_up_to", lambda n: iter([frame]))
     report = wrong_false_at_reflexive(2)
-    assert not report.passed
-    model = Model(frame, {"p": frozenset()})
-    assert report.failure == (
-        f"W p true at reflexive state s2 of {dump_model(model)}"
-    )
+
+    def scan():
+        wrapped = [W(g) for g in oracle.corpus_for(SearchBudget(atoms=("p",)))]
+        checked = 0
+        for frame in frames_up_to(2):
+            refl = [i for i, s in enumerate(frame.states) if (s, s) in frame.relation]
+            if not refl:
+                continue
+            ev, k = FrameEvaluator(frame, ("p",)), len(frame.states)
+            for wg in wrapped:
+                checked += 1
+                col = ev.columns(wg)
+                for v in range(ev.rows):
+                    for i in refl:
+                        if col >> (v * k + i) & 1:
+                            named = f"{frame.states[i]} of {dump_model(model_at(frame, ('p',), v))}"
+                            return checked, f"{print_formula(wg)} true at reflexive state {named}"
+
+    assert (report.items_checked, report.failure) == scan()
+    # The first case already fails: W p, with p nowhere, on the one-state loop.
+    point = Model(frame_of_mask(1, 1), {"p": frozenset()})
+    assert report.items_checked == 1
+    assert report.failure == f"W p true at reflexive state s1 of {dump_model(point)}"
     head, named = report.failure.split(" of ", 1)
     formula, state = parse(head.split(" true at ")[0]), head.rsplit(" ", 1)[1]
     named_model, _ = load_model(named)
