@@ -255,9 +255,10 @@ def atom_column(pos: int, k: int, rows: int) -> int:
     return out
 
 
-def _last_uses(formulas: Sequence[Formula], seen: set[Formula]) -> list[list[Formula]]:
-    """For each of ``formulas``, the subformulas not in ``seen`` that no
-    later formula has."""
+def last_uses(formulas: Sequence[Formula]) -> list[list[Formula]]:
+    """For each of ``formulas``, its subformulas that no later formula has:
+    the columns ``FrameEvaluator.each_column`` can drop after it."""
+    seen: set[Formula] = set()
     last: list[list[Formula]] = [[] for _ in formulas]
     for n in range(len(formulas) - 1, -1, -1):  # the first visit is the last use
         stack = [formulas[n]]
@@ -410,15 +411,16 @@ class FrameEvaluator:
         memo[g] = col
         return col
 
-    def each_column(self, formulas: Sequence[Formula]) -> Iterator[int]:
-        """``columns(f)`` for each of ``formulas`` in turn.  A column first
-        memoized here is dropped after the last of ``formulas`` that has it
-        as a subformula, so a battery holds only the columns still ahead."""
+    def each_column(self, formulas: Sequence[Formula], last: list[list[Formula]]) -> Iterator[int]:
+        """``columns(f)`` for each of ``formulas`` in turn, dropping the
+        columns of ``last = last_uses(formulas)`` after each, so a battery
+        holds only the columns still ahead.  ``last`` is shared by every
+        chunk of the battery."""
         memo = self._memo
-        for f, drop in zip(formulas, _last_uses(formulas, set(memo))):
+        for f, drop in zip(formulas, last):
             yield self.columns(f)
             for g in drop:
-                del memo[g]
+                memo.pop(g, None)
 
     def valid(self, g: Formula) -> bool:
         """True iff ``g`` has no false row: it holds at every state and
@@ -689,6 +691,7 @@ def wrong_false_at_reflexive(
     """W g is false at every reflexive state, for every corpus g and model;
     a case is one frame with a reflexive state and one g."""
     wrapped = [W(g) for g in corpus_for(budget)]
+    last = last_uses(wrapped)
     checked = 0
     for k in range(1, max_states + 1):
         valuations = 1 << (k * len(budget.atoms))
@@ -699,7 +702,7 @@ def wrong_false_at_reflexive(
             keep = 0
             for i, lack in enumerate(loops):
                 keep |= (ev.state_mask ^ _replicate(lack, chunk.slots * k, valuations)) << i
-            hit = ev.first_failure(c & keep for c in ev.each_column(wrapped))
+            hit = ev.first_failure(c & keep for c in ev.each_column(wrapped, last))
             live = _state_mask(k, chunk.slots) & ((1 << (chunk.live * k)) - 1)
             loopless = live  # bit t*k: the frame in slot t has no loop
             for lack in loops:

@@ -249,6 +249,7 @@ def _preservation_battery(
     packed slot by slot into two chunks, so a corpus formula is evaluated
     once per side and chunk; a case is one item."""
     corpus = oracle.corpus_for(budget)
+    last = oracle.last_uses(corpus)
     checked = 0
     for k in range(1, max_states + 1):
         for chunk in oracle._class_chunks(admits, k, 1 << (k * len(budget.atoms))):
@@ -265,7 +266,7 @@ def _preservation_battery(
             # The items before a lost property are checked first.
             for start in range(0, len(items), chunk.slots):
                 batch = items[start : start + chunk.slots]
-                change = _first_change(batch, chunk.slots, corpus, budget.atoms)
+                change = _first_change(batch, chunk.slots, corpus, last, budget.atoms)
                 if change is not None:
                     slot, text = change
                     return oracle.BatteryReport(name, checked + slot + 1, text)
@@ -276,14 +277,15 @@ def _preservation_battery(
 
 
 def _first_change(
-    items: list[tuple[Frame, Frame]], slots: int, corpus: tuple[Formula, ...], atoms: tuple[str, ...]
+    items: list[tuple[Frame, Frame]], slots: int, corpus: tuple[Formula, ...],
+    last: list[list[Formula]], atoms: tuple[str, ...],
 ) -> tuple[int, str] | None:
     """The first item (its slot) and corpus formula whose truth differs
     between the frame and the built frame of an item, and its text."""
     frames, built = zip(*items)
     ev = oracle.FrameEvaluator(oracle.FrameChunk.of(frames, slots), atoms)
     ev_built = oracle.FrameEvaluator(oracle.FrameChunk.of(built, slots), atoms)
-    hit = ev.first_failure(a ^ b for a, b in zip(ev.each_column(corpus), ev_built.each_column(corpus)))
+    hit = ev.first_failure(a ^ b for a, b in zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last)))
     if hit is None:
         return None
     slot, n, row = hit
@@ -371,12 +373,14 @@ def translation_battery(
     else:
         raise ValueError(f"unknown direction {direction!r}")
     name = f"translation-{direction}"
+    flat = [h for pair in pairs for h in pair]  # f, g of each pair
+    last = oracle.last_uses(flat)
     checked = 0
     for k in range(1, max_states + 1):
         for chunk in oracle._class_chunks(ALL_FRAMES, k, 1 << (k * len(budget.atoms))):
             ev = oracle.FrameEvaluator(chunk, budget.atoms)
-            cols = ev.each_column([h for pair in pairs for h in pair])
-            hit = ev.first_failure(a ^ b for a, b in zip(cols, cols))  # f, g of each pair
+            cols = ev.each_column(flat, last)
+            hit = ev.first_failure(a ^ b for a, b in zip(cols, cols))
             if hit is not None:
                 slot, n, row = hit
                 f, g = pairs[n]

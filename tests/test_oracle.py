@@ -400,15 +400,15 @@ def test_memo_is_keyed_on_the_formula(frame, f):
 @given(_small_frames, st.lists(_formulas(W, Box, IR, FI), max_size=6), st.lists(_formulas(W, Box, IR, FI), max_size=2))
 def test_each_column_drops_only_what_no_later_formula_needs(frame, fs, known):
     ev, fresh = FrameEvaluator(frame, ("p", "q")), FrameEvaluator(frame, ("p", "q"))
-    for g in known:  # columns memoized before the call are kept
+    for g in known:  # columns memoized before the call stay unless fs has them as subformulas
         ev.columns(g)
-    kept = dict(ev._memo)
-    cols = ev.each_column(fs)
+    before = set(ev._memo)
+    cols = ev.each_column(fs, oracle.last_uses(fs))
     for n, f in enumerate(fs):
         assert next(cols) == fresh.columns(f)
         ahead = {h for g in fs[n:] for h in subformulas(g)}
-        assert set(ev._memo) <= set(kept) | ahead
-    assert list(cols) == [] and ev._memo == kept
+        assert set(ev._memo) <= before | ahead
+    assert list(cols) == [] and set(ev._memo) == before - {h for g in fs for h in subformulas(g)}
 
 
 def test_atom_column_by_doubling():
