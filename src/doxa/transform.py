@@ -285,7 +285,8 @@ def _first_change(
     frames, built = zip(*items)
     ev = oracle.FrameEvaluator(oracle.FrameChunk.of(frames, slots), atoms)
     ev_built = oracle.FrameEvaluator(oracle.FrameChunk.of(built, slots), atoms)
-    hit = ev.first_failure(a ^ b for a, b in zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last)))
+    pairs = zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last))
+    hit = ev.first_failure(a ^ b for a, b in pairs)
     if hit is None:
         return None
     slot, n, row = hit
