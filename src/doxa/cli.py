@@ -52,26 +52,29 @@ def _max_states(args) -> int:
 
 def _budget(args, atoms: tuple[str, ...] = ("p", "q", "r")) -> SearchBudget:
     """The search budget of a command; ``atoms`` applies without ``--atoms``."""
-    if getattr(args, "atoms", None):
-        try:
+    try:
+        if getattr(args, "atoms", None):
             atoms = tuple(Atom(a.strip()).name for a in args.atoms.split(","))
-        except ValueError as exc:
-            raise UsageError(f"--atoms: {exc}")
-    return SearchBudget(
-        max_states=_max_states(args),
-        atoms=atoms,
-        max_modal_depth=getattr(args, "depth", 2),
-        max_size=getattr(args, "size", 7),
-    )
+        return SearchBudget(
+            max_states=_max_states(args),
+            atoms=atoms,
+            max_modal_depth=getattr(args, "depth", 2),
+            max_size=getattr(args, "size", 7),
+        )
+    except ValueError as exc:  # a bad or repeated atom name
+        raise UsageError(f"--atoms: {exc}")
+
+
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {path}: {exc}")
 
 
 def _read_model(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}")
-    try:
-        return load_model(text)
+        return load_model(_read_text(path))
     except semantics.ModelFormatError as exc:
         raise UsageError(f"{path}: {exc}")
 
@@ -182,14 +185,10 @@ def cmd_chain(args) -> int:
 
 def cmd_prove(args) -> int:
     try:
-        text = Path(args.script).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {args.script}: {exc}")
-    try:
-        proof = hilbert.parse_proof_script(text)
-    except hilbert.ProofScriptError as exc:
+        proof = hilbert.parse_proof_script(_read_text(args.script))
+        result = hilbert.check_proof(proof, strict=args.strict)
+    except (hilbert.ProofScriptError, hilbert.AbstractionLimitError) as exc:
         raise UsageError(str(exc))
-    result = hilbert.check_proof(proof, strict=args.strict)
     if result.accepted:
         print(f"accepted: {len(proof.lines)} lines, conclusion {print_formula(proof.conclusion)}")
         return 0

@@ -120,9 +120,6 @@ class Schema:
     name: str
     template: Formula
 
-    def match(self, f: Formula) -> dict[str, Formula] | None:
-        return match_schema(self, f)
-
 
 def match_schema(schema: Schema, f: Formula) -> dict[str, Formula] | None:
     """The unique substitution with substitute(template, s) == f, or None."""
@@ -299,10 +296,6 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
         if line.index in seen:
             return _reject(line, f"duplicate line index {line.index}")
         j = line.justification
-
-        def resolve(ref: int) -> Formula | None:
-            return seen.get(ref)
-
         if isinstance(j, ByAxiom):
             if j.schema not in system.schemas:
                 return _reject(line, f"schema {j.schema} is not an axiom of {system.name}")
@@ -321,7 +314,7 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
         elif isinstance(j, ByMP):
             if "MP" not in system.rules:
                 return _reject(line, f"MP not available in {system.name}")
-            fi, fj = resolve(j.antecedent), resolve(j.implication)
+            fi, fj = seen.get(j.antecedent), seen.get(j.implication)
             if fi is None or fj is None:
                 return _reject(line, "MP reference to a missing or later line")
             if fj != Imp(fi, line.formula):
@@ -329,7 +322,7 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
         elif isinstance(j, ByR1):
             if "R1" not in system.rules:
                 return _reject(line, f"R1 not available in {system.name}")
-            fi = resolve(j.source)
+            fi = seen.get(j.source)
             if fi is None:
                 return _reject(line, "R1 reference to a missing or later line")
             if not isinstance(fi, Imp):
@@ -340,7 +333,7 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
         elif isinstance(j, ByRIR):
             if "RI-R" not in system.rules:
                 return _reject(line, f"RI-R not available in {system.name}")
-            fi = resolve(j.source)
+            fi = seen.get(j.source)
             if fi is None:
                 return _reject(line, "RI-R reference to a missing or later line")
             if not isinstance(fi, Imp):
@@ -351,7 +344,7 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
         elif isinstance(j, ByREW):
             if strict or "REW" not in system.rules:
                 return _reject(line, f"REW not available in {system.name}" + (" (strict mode)" if strict else ""))
-            fi = resolve(j.source)
+            fi = seen.get(j.source)
             if fi is None:
                 return _reject(line, "REW reference to a missing or later line")
             if not isinstance(fi, Iff):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from . import semantics
@@ -70,6 +70,9 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_states < 1:
             raise ValueError("max_states must be at least 1")
+        repeated = [a for n, a in enumerate(self.atoms) if a in self.atoms[:n]]
+        if repeated:
+            raise ValueError(f"duplicate atom name: {repeated[0]!r}")
 
 
 @dataclass
@@ -105,24 +108,12 @@ def frame_of_mask(k: int, mask: int) -> Frame:
     return Frame(states, frozenset(pairs[b] for b in range(k * k) if (mask >> b) & 1))
 
 
-def enumerate_frames(max_states: int, min_states: int = 1) -> Iterator[Frame]:
-    """All labeled frames on {s1..sk} for min_states <= k <= max_states,
-    2^(k*k) per k, in ascending mask order."""
-    for k in range(min_states, max_states + 1):
+def frames_up_to(max_states: int) -> Iterator[Frame]:
+    """All labeled frames on {s1..sk} for 1 <= k <= max_states, 2^(k*k)
+    per k, in ascending mask order; each is built as it is yielded."""
+    for k in range(1, max_states + 1):
         for mask in range(1 << (k * k)):
             yield frame_of_mask(k, mask)
-
-
-@lru_cache(maxsize=8)
-def _frames_cached(max_states: int) -> tuple[Frame, ...]:
-    return tuple(enumerate_frames(max_states))
-
-
-def frames_up_to(max_states: int) -> Iterator[Frame]:
-    # Cache only desk-scale enumerations; stream anything larger.
-    if max_states <= 4:
-        return iter(_frames_cached(max_states))
-    return chain(_frames_cached(4), enumerate_frames(max_states, min_states=5))
 
 
 def enumerate_models(frame: Frame, atoms: Sequence[str]) -> Iterator[Model]:
@@ -474,11 +465,6 @@ class FrameEvaluator:
         """``<state> of <model JSON>``: a row as battery failures name it."""
         model, state = self.witness(row)
         return f"{state} of {semantics.dump_model(model)}"
-
-
-def frame_validity(f: Formula, frame: Frame, aux: bool = False) -> bool:
-    """True iff ``f`` holds at every state under every valuation of its atoms."""
-    return FrameEvaluator(frame, tuple(sorted(atoms_of(f))), aux=aux).valid(f)
 
 
 # ---------------------------------------------------------------------------

@@ -172,20 +172,6 @@ def generated_submodel(m: Model, state: str) -> Model:
     return Model(Frame(states, relation), valuation)
 
 
-@dataclass(frozen=True)
-class ConeSpec:
-    """A root together with its successor cone."""
-
-    root: str
-    cone: frozenset[str]
-
-    @staticmethod
-    def of(m: Model, root: str) -> "ConeSpec":
-        if root not in m.frame.successor_map:
-            raise semantics.UnknownStateError(root)
-        return ConeSpec(root, frozenset(m.frame.successor_map[root]))
-
-
 def cone_augment(m: Model, state: str) -> Model:
     """Add all pairs within the successor cone of ``state``.
 
@@ -193,7 +179,7 @@ def cone_augment(m: Model, state: str) -> Model:
     ``state``; on those the result is transitive and Euclidean, which the
     batteries re-check rather than assume.
     """
-    cone = ConeSpec.of(m, state).cone
+    cone = m.frame.successors(state)
     added = {(y, z) for y in cone for z in cone}
     return _with_relation(m, m.frame.relation | added)
 

@@ -4,7 +4,8 @@ The references below scan every frame with its own one-frame evaluator,
 item by item; the packed batteries must give the same report (name,
 ``items_checked`` and failure text) under injected faults and under
 column budgets that put a failure in a later slot, a later chunk or a
-padded last chunk.
+padded last chunk.  The generated-submodel battery, still a loop over
+``Frame`` objects, is pinned by its count and one injected fault.
 """
 
 from contextlib import contextmanager
@@ -15,7 +16,7 @@ from doxa import oracle, transform
 from doxa.oracle import BatteryReport, FrameEvaluator, SearchBudget, frames_up_to, wrong_false_at_reflexive
 from doxa.semantics import ALL_FRAMES, Frame, Model, dump_model, frame_class
 from doxa.syntax import IR, And, Atom, Not, Or, W, parse, print_formula
-from doxa.transform import closure_battery, cone_battery, translation_battery
+from doxa.transform import closure_battery, cone_battery, submodel_property_battery, translation_battery
 
 ONE_ATOM = SearchBudget(atoms=("p",))
 
@@ -313,3 +314,15 @@ def test_passing_counts():
         assert translation_battery(direction, 3).items_checked == 263940
     assert closure_battery(4).items_checked == 6697
     assert cone_battery(4).items_checked == 337
+    assert submodel_property_battery(3).items_checked == 1399
+
+
+def test_submodel_battery_names_the_first_lost_property(monkeypatch):
+    # Dropping s2 -> s2 from the submodels of every mask 12 mod 13 first
+    # loses Euclideanness at the 413th (frame, root) case.
+    fault = _edge_fault(transform.generated_submodel, 13, (1, 1), False)
+    monkeypatch.setattr(transform, "generated_submodel", fault)
+    frame = Model.of(["s1", "s2", "s3"], [("s1", "s1"), ("s1", "s2"), ("s2", "s1"), ("s2", "s2"), ("s3", "s2")])
+    assert submodel_property_battery(3) == BatteryReport(
+        "generated-submodel-properties", 413, f"euclidean lost by the submodel of {dump_model(frame)} at s1"
+    )

@@ -278,10 +278,18 @@ def test_max_states_below_one_is_a_usage_error(capsys, pair_file, argv, value):
     assert out == ""
 
 
-@pytest.mark.parametrize("atoms", ["p,W", "p,,q", "p,Q"])
+_BAD_ATOM_LISTS = {
+    "p,W": "invalid atom name",
+    "p,,q": "invalid atom name",
+    "p,Q": "invalid atom name",
+    "p,p": "duplicate atom name",
+}
+
+
+@pytest.mark.parametrize("atoms", list(_BAD_ATOM_LISTS))
 def test_bad_atom_lists_are_usage_errors(capsys, pair_file, atoms):
     code, out, err = run(capsys, "valid", "p", "--atoms", atoms)
-    assert _usage_error(code, err) and "invalid atom name" in err
+    assert _usage_error(code, err) and _BAD_ATOM_LISTS[atoms] in err
     code, out, err = run(capsys, "transform", "closure", pair_file, "--verify", "--atoms", atoms)
     assert _usage_error(code, err) and out == ""
 
@@ -305,6 +313,24 @@ def test_deeply_nested_formula_is_a_usage_error(capsys, pair_file, tmp_path):
     script.write_text(f"system: KW\n1. {deep} -> {deep} ; taut\n")
     code, _, err = run(capsys, "prove", str(script))
     assert _usage_error(code, err) and "nested too deeply" in err
+
+
+def test_taut_past_the_letter_limit_is_a_usage_error(capsys, tmp_path):
+    wide = " | ".join(f"p{i}" for i in range(25))
+    script = tmp_path / "wide.proof"
+    script.write_text(f"system: KW\n1. {wide} | ~p0 ; taut\n")
+    code, out, err = run(capsys, "prove", str(script))
+    assert _usage_error(code, err) and "25 abstraction letters exceed the limit of 20" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [["eval", "FILE", "s", "p"], ["prove", "FILE"]], ids=lambda argv: argv[0])
+def test_non_utf8_input_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert _usage_error(code, err) and f"cannot read {path}" in err
+    assert out == ""
 
 
 def test_invalid_valuation_atom_is_a_usage_error(capsys, tmp_path):

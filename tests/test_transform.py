@@ -8,7 +8,7 @@ import pytest
 
 from doxa import transform
 from doxa.oracle import SearchBudget, frames_up_to
-from doxa.semantics import Frame, LanguageError, Model, evaluate, has_property, load_model
+from doxa.semantics import Frame, LanguageError, Model, UnknownStateError, evaluate, has_property, load_model
 from doxa.syntax import IR, And, Not, W, parse, print_formula
 from doxa.transform import (
     TranslationChain,
@@ -111,13 +111,12 @@ def test_euclidean_closure_always_euclidean_and_idempotent():
         assert euclidean_closure(closed).frame == closed.frame
 
 
-def test_cone_spec():
-    from doxa.transform import ConeSpec
-
+def test_cone_augment_closes_the_successor_cone():
     m = Model.of(["s", "t", "u"], [("s", "t"), ("s", "u"), ("t", "t")])
-    assert ConeSpec.of(m, "s") == ConeSpec("s", frozenset({"t", "u"}))
-    with pytest.raises(Exception):
-        ConeSpec.of(m, "zz")
+    cone = {("t", "t"), ("t", "u"), ("u", "t"), ("u", "u")}
+    assert cone_augment(m, "s").frame.relation == m.frame.relation | cone
+    with pytest.raises(UnknownStateError):
+        cone_augment(m, "zz")
 
 
 def test_generated_submodel_examples():
@@ -186,7 +185,8 @@ def test_batteries_small():
 
 
 def test_submodel_property_battery_exhaustive_four_states():
-    assert submodel_property_battery(4).passed
+    report = submodel_property_battery(4)
+    assert report.passed and report.items_checked == 215743
 
 
 def test_translation_batteries():
