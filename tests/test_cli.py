@@ -372,3 +372,31 @@ def test_python_dash_m_runs_the_cli(formula, want):
     )
     assert done.returncode == want, done.stderr
     assert done.stdout.startswith(f"validity of {formula} on all frames")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_paper_reports_a_failing_check(capsys, monkeypatch, fmt):
+    from doxa import registry
+
+    def swapped(name):
+        # Swap the two references of one MP line of the golden script.
+        text = load_proof_script(name)
+        assert "; mp 2 5" in text
+        return text.replace("; mp 2 5", "; mp 5 2")
+
+    monkeypatch.delenv("DOXA_MAX_STATES", raising=False)
+    monkeypatch.setattr(registry, "load_proof_script", swapped)
+    code, out, _ = run(
+        capsys, "verify-paper", "--filter", "proof-kw-conjunct-weakening", "--format", fmt
+    )
+    assert code == 1
+    detail = "rejected at line 6: MP shape mismatch"
+    if fmt == "text":
+        assert out.splitlines() == [
+            f"[FAIL  ] proof-kw-conjunct-weakening: {detail}",
+            "1 checks: 0 passed, 1 failed, 0 budget-insufficient (max states 3)",
+        ]
+    else:
+        assert json.loads(out) == [
+            {"id": "proof-kw-conjunct-weakening", "kind": "proof", "status": "fail", "detail": detail}
+        ]

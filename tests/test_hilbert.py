@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from doxa import hilbert
@@ -12,6 +15,7 @@ from doxa.hilbert import (
     Proof,
     ProofLine,
     ProofScriptError,
+    Schema,
     check_derived_rule,
     check_proof,
     conjunction_rule_ri,
@@ -30,6 +34,9 @@ def test_is_tautology_examples():
     assert is_tautology(parse("p -> p"))
     assert not is_tautology(parse("W p -> ~p"))
     assert is_tautology(parse("(W p -> ~W (p & q)) | ~W p | W (p & q) | ~~W p"))
+    assert is_tautology(parse("T"))
+    assert is_tautology(parse("F -> p"))
+    assert not is_tautology(parse("F"))
 
 
 def test_is_tautology_treats_modal_formulas_as_letters():
@@ -235,8 +242,6 @@ def test_derived_rule_rejects_wrong_conclusion():
 
 def test_derived_rule_requires_consistent_instantiation():
     # premise instantiated with phi := p but conclusion with phi := q
-    from doxa.hilbert import Schema
-
     premise_t = Schema("prem", parse("phi"))
     conclusion_t = Schema("conc", parse("~phi -> W phi"))
     lines = (
@@ -327,3 +332,95 @@ def test_rew_shapes():
         ProofLine(2, parse("W (p & q) <-> W (p & q)"), hilbert.ByREW(1)),
     )
     assert not check_proof(Proof(SYSTEMS["KW"], (), bad)).accepted
+
+
+# --- rejection texts and built witnesses ------------------------------------
+
+KW, KRI = SYSTEMS["KW"], SYSTEMS["KRI"]
+KW_WITHOUT_MP = replace(KW, name="KW-MP", rules=frozenset({"R1", "REW"}))
+
+
+@pytest.mark.parametrize(
+    "system, script, strict, line, reason",
+    [
+        (KRI, "1. p -> p ; taut\n2. W p & ~p -> W p ; r1 1", False, 2,
+         "R1 not available in KRI"),
+        (KW, "1. W p & ~p -> W p ; r1 2\n2. p -> p ; taut", False, 1,
+         "R1 reference to a missing or later line"),
+        (KW, "1. p | ~p ; taut\n2. W p & ~p -> W p ; r1 1", False, 2,
+         "R1 source is not an implication"),
+        (KW, "1. p -> p ; taut\n2. W p & ~p -> W q ; r1 1", False, 2,
+         "R1 shape mismatch"),
+        (KW, "1. p -> p ; taut\n2. IR p & ~p -> IR p | p ; rir 1", False, 2,
+         "RI-R not available in KW"),
+        (KRI, "1. IR p & ~p -> IR p | p ; rir 2\n2. p -> p ; taut", False, 1,
+         "RI-R reference to a missing or later line"),
+        (KRI, "1. p | ~p ; taut\n2. IR p & ~p -> IR p | p ; rir 1", False, 2,
+         "RI-R source is not an implication"),
+        (KRI, "1. p -> p ; taut\n2. IR p & ~p -> IR p ; rir 1", False, 2,
+         "RI-R shape mismatch"),
+        (KW, "1. W p <-> W p ; rew 2\n2. p <-> p ; taut", False, 1,
+         "REW reference to a missing or later line"),
+        (KW, "1. p -> p ; taut\n2. W p <-> W p ; rew 1", False, 2,
+         "REW source is not a biconditional"),
+        (KRI, "1. p <-> p ; taut\n2. W p <-> IR p ; rew 1", False, 2,
+         "REW shape mismatch"),
+        (KW, "1. p <-> p ; taut\n2. W p <-> W p ; rew 1", True, 2,
+         "REW not available in KW (strict mode)"),
+        (KW_WITHOUT_MP, "1. p -> p ; taut\n2. (p -> p) -> (p -> p) ; taut\n3. p -> p ; mp 1 2",
+         False, 3, "MP not available in KW-MP"),
+        (KW, "1. W p -> ~q ; A1", False, 1,
+         "not an instance of A1"),
+    ],
+)
+def test_check_proof_rejection_texts(system, script, strict, line, reason):
+    proof = replace(parse_proof_script("system: KW\n" + script), system=system)
+    result = check_proof(proof, strict=strict)
+    assert (result.accepted, result.line, result.reason) == (False, line, reason)
+
+
+W1 = conjunction_rule_w(1)
+W1_WRONG_CONCLUSION = replace(
+    W1.witness, lines=W1.witness.lines[:-1] + (ProofLine(99, parse("p -> p"), ByTaut()),)
+)
+PHI = Schema("prem", parse("phi"))
+
+
+@pytest.mark.parametrize(
+    "system, premises, conclusion, witness, reason",
+    [
+        (KRI, W1.premises, W1.conclusion, W1.witness, "witness is in KW, not KRI"),
+        (KW, (), W1.conclusion, W1.witness, "premise count differs from the rule"),
+        (
+            KW, (Schema("conj", parse("phi & psi")),), W1.conclusion, W1.witness,
+            "premise a -> p does not instantiate conj",
+        ),
+        (
+            KW, W1.premises, W1.conclusion, W1_WRONG_CONCLUSION,
+            "conclusion p -> p does not instantiate rule-conclusion",
+        ),
+        (
+            KW, (PHI, PHI), W1.conclusion,
+            Proof(KW, (parse("p"), parse("q")), (ProofLine(1, parse("p"), ByPremise()),)),
+            "inconsistent instantiation of phi",
+        ),
+        (
+            KW, (PHI,), Schema("conc", parse("~phi -> W phi")),
+            Proof(KW, (parse("p"),), (ProofLine(1, parse("~q -> W q"), ByTaut()),)),
+            "inconsistent instantiation of phi",
+        ),
+    ],
+)
+def test_check_derived_rule_rejection_texts(system, premises, conclusion, witness, reason):
+    result = check_derived_rule(system, premises, conclusion, witness)
+    assert (result.accepted, result.line, result.reason) == (False, None, reason)
+
+
+WITNESS_SCRIPTS = Path(__file__).parent.parent / "perfbench" / "golden" / "witness"
+
+
+@pytest.mark.parametrize("kind, builder", [("w", conjunction_rule_w), ("ri", conjunction_rule_ri)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_built_witnesses_match_the_committed_scripts(kind, builder, n):
+    script = (WITNESS_SCRIPTS / f"{kind}_conjunction_rule_n{n}.proof").read_text()
+    assert builder(n).witness == parse_proof_script(script)
