@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .oracle import atom_column
 from .semantics import FrameClass, frame_class
@@ -248,6 +248,36 @@ Justification = ByAxiom | ByTaut | ByPremise | ByMP | ByR1 | ByRIR | ByREW
 
 
 @dataclass(frozen=True)
+class Rule:
+    """A one-source rule: its name in ``System.rules``, its script
+    keyword, the type its source must have and the lines it licenses."""
+
+    name: str
+    keyword: str
+    source_type: type
+    source_noun: str
+    conclusions: Callable[[Formula], tuple[Formula, ...]]
+    admissible: bool = False  # disabled by strict checking
+
+
+RULES: dict[type, Rule] = {
+    ByR1: Rule(
+        "R1", "r1", Imp, "an implication",
+        lambda s: (Imp(And(W(s.left), Not(s.right)), W(s.right)),),
+    ),
+    ByRIR: Rule(
+        "RI-R", "rir", Imp, "an implication",
+        lambda s: (Imp(And(IR(s.left), Not(s.left)), Or(IR(s.right), s.right)),),
+    ),
+    ByREW: Rule(
+        "REW", "rew", Iff, "a biconditional",
+        lambda s: (Iff(W(s.left), W(s.right)), Iff(IR(s.left), IR(s.right))),
+        admissible=True,
+    ),
+}
+
+
+@dataclass(frozen=True)
 class ProofLine:
     index: int
     formula: Formula
@@ -286,7 +316,7 @@ def _reject(line: ProofLine, reason: str) -> CheckResult:
 def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
     """Validate every line; rejections name the first bad line.
 
-    ``strict=True`` disables the REW rule (admissible, not primitive).
+    ``strict=True`` disables the admissible rules (REW is not primitive).
     Line indices are labels: references are resolved by label and must
     point at earlier lines, so renumbering that preserves order is fine.
     """
@@ -319,44 +349,20 @@ def check_proof(proof: Proof, strict: bool = False) -> CheckResult:
                 return _reject(line, "MP reference to a missing or later line")
             if fj != Imp(fi, line.formula):
                 return _reject(line, "MP shape mismatch")
-        elif isinstance(j, ByR1):
-            if "R1" not in system.rules:
-                return _reject(line, f"R1 not available in {system.name}")
+        else:
+            rule = RULES.get(type(j))
+            if rule is None:  # pragma: no cover
+                return _reject(line, f"unknown justification {j!r}")
+            off = strict and rule.admissible
+            if off or rule.name not in system.rules:
+                return _reject(line, f"{rule.name} not available in {system.name}" + (" (strict mode)" if off else ""))
             fi = seen.get(j.source)
             if fi is None:
-                return _reject(line, "R1 reference to a missing or later line")
-            if not isinstance(fi, Imp):
-                return _reject(line, "R1 source is not an implication")
-            want = Imp(And(W(fi.left), Not(fi.right)), W(fi.right))
-            if line.formula != want:
-                return _reject(line, "R1 shape mismatch")
-        elif isinstance(j, ByRIR):
-            if "RI-R" not in system.rules:
-                return _reject(line, f"RI-R not available in {system.name}")
-            fi = seen.get(j.source)
-            if fi is None:
-                return _reject(line, "RI-R reference to a missing or later line")
-            if not isinstance(fi, Imp):
-                return _reject(line, "RI-R source is not an implication")
-            want = Imp(And(IR(fi.left), Not(fi.left)), Or(IR(fi.right), fi.right))
-            if line.formula != want:
-                return _reject(line, "RI-R shape mismatch")
-        elif isinstance(j, ByREW):
-            if strict or "REW" not in system.rules:
-                return _reject(line, f"REW not available in {system.name}" + (" (strict mode)" if strict else ""))
-            fi = seen.get(j.source)
-            if fi is None:
-                return _reject(line, "REW reference to a missing or later line")
-            if not isinstance(fi, Iff):
-                return _reject(line, "REW source is not a biconditional")
-            wanted = (
-                Iff(W(fi.left), W(fi.right)),
-                Iff(IR(fi.left), IR(fi.right)),
-            )
-            if line.formula not in wanted:
-                return _reject(line, "REW shape mismatch")
-        else:  # pragma: no cover
-            return _reject(line, f"unknown justification {j!r}")
+                return _reject(line, f"{rule.name} reference to a missing or later line")
+            if not isinstance(fi, rule.source_type):
+                return _reject(line, f"{rule.name} source is not {rule.source_noun}")
+            if line.formula not in rule.conclusions(fi):
+                return _reject(line, f"{rule.name} shape mismatch")
         seen[line.index] = line.formula
     return CheckResult(True)
 
@@ -377,22 +383,16 @@ def check_derived_rule(
         return CheckResult(False, None, f"witness is in {witness.system.name}, not {system.name}")
     if len(witness.premises) != len(premise_templates):
         return CheckResult(False, None, "premise count differs from the rule")
+    matches = [("premise", t, f) for t, f in zip(premise_templates, witness.premises)]
+    matches.append(("conclusion", conclusion_template, witness.conclusion))
     binding: dict[str, Formula] = {}
-    for template, premise in zip(premise_templates, witness.premises):
-        local = match_schema(template, premise)
+    for role, template, f in matches:
+        local = match_schema(template, f)
         if local is None:
-            return CheckResult(False, None, f"premise {print_formula(premise)} does not instantiate {template.name}")
+            return CheckResult(False, None, f"{role} {print_formula(f)} does not instantiate {template.name}")
         for k, v in local.items():
             if binding.setdefault(k, v) != v:
                 return CheckResult(False, None, f"inconsistent instantiation of {k}")
-    local = match_schema(conclusion_template, witness.conclusion)
-    if local is None:
-        return CheckResult(
-            False, None, f"conclusion {print_formula(witness.conclusion)} does not instantiate {conclusion_template.name}"
-        )
-    for k, v in local.items():
-        if binding.setdefault(k, v) != v:
-            return CheckResult(False, None, f"inconsistent instantiation of {k}")
     return check_proof(witness, strict=strict)
 
 
@@ -414,10 +414,10 @@ def _parse_justification(text: str, line_no: int) -> Justification:
         if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
             raise ProofScriptError("mp needs two line numbers", line_no)
         return ByMP(int(parts[1]), int(parts[2]))
-    for word, ctor in (("r1", ByR1), ("rir", ByRIR), ("rew", ByREW)):
-        if parts and parts[0] == word:
+    for ctor, rule in RULES.items():
+        if parts and parts[0] == rule.keyword:
             if len(parts) != 2 or not parts[1].isdigit():
-                raise ProofScriptError(f"{word} needs one line number", line_no)
+                raise ProofScriptError(f"{rule.keyword} needs one line number", line_no)
             return ctor(int(parts[1]))
     m = _AXIOM_RE.match(text)
     if m and m.group(1) in SCHEMAS:
@@ -513,30 +513,10 @@ class _Builder:
         assert isinstance(imp, Imp)
         return self._add(imp.right, ByMP(antecedent, implication))
 
-    def r1(self, source: int) -> int:
-        src = self.lines[source - 1].formula
-        assert isinstance(src, Imp)
-        return self._add(
-            Imp(And(W(src.left), Not(src.right)), W(src.right)), ByR1(source)
-        )
-
-    def rir(self, source: int) -> int:
-        src = self.lines[source - 1].formula
-        assert isinstance(src, Imp)
-        return self._add(
-            Imp(And(IR(src.left), Not(src.left)), Or(IR(src.right), src.right)),
-            ByRIR(source),
-        )
-
-    def rew_w(self, source: int) -> int:
-        src = self.lines[source - 1].formula
-        assert isinstance(src, Iff)
-        return self._add(Iff(W(src.left), W(src.right)), ByREW(source))
-
-    def rew_ir(self, source: int) -> int:
-        src = self.lines[source - 1].formula
-        assert isinstance(src, Iff)
-        return self._add(Iff(IR(src.left), IR(src.right)), ByREW(source))
+    def rule(self, ctor: type, source: int, pick: int = 0) -> int:
+        """The ``pick``-th line that ``RULES[ctor]`` licenses from ``source``."""
+        conclusions = RULES[ctor].conclusions(self.lines[source - 1].formula)
+        return self._add(conclusions[pick], ctor(source))
 
     def chain(self, sources: Sequence[int], target: Formula) -> int:
         """Close over earlier lines propositionally: one taut line + MPs."""
@@ -595,9 +575,9 @@ def conjunction_rule_w(n: int) -> DerivedRule:
     c = _conj(chis)
     b = _Builder(SYSTEMS["KW"], (Imp(c, phi),))
     l1 = b.premise(Imp(c, phi))
-    l2 = b.r1(l1)  # W C & ~f -> W f
+    l2 = b.rule(ByR1, l1)  # W C & ~f -> W f
     l3 = b.taut(Imp(And(c, psi), c))
-    l4 = b.r1(l3)  # W (C & g) & ~C -> W C
+    l4 = b.rule(ByR1, l3)  # W (C & g) & ~C -> W C
     core_target = Imp(And(W(And(c, psi)), Not(phi)), W(phi))
     core = b.chain([l1, l2, l4], core_target)
     if n == 1:
@@ -617,7 +597,7 @@ def conjunction_rule_w(n: int) -> DerivedRule:
             ),
         )
         flat = b.taut(Iff(And(And(prefix, psi), And(x, psi)), And(bigger, psi)))
-        rew = b.rew_w(flat)
+        rew = b.rule(ByREW, flat, 0)  # the W conclusion
         step_target = Imp(And(W(And(prefix, psi)), W(And(x, psi))), W(And(bigger, psi)))
         step = b.chain([a2, rew], step_target)
         new_ant = And(ant, W(And(x, psi)))
@@ -666,9 +646,9 @@ def conjunction_rule_ri(n: int) -> DerivedRule:
     c = _conj(chis)
     b = _Builder(SYSTEMS["KRI"], (Imp(c, phi),))
     l1 = b.premise(Imp(c, phi))
-    l2 = b.rir(l1)  # IR C & ~C -> IR f | f
+    l2 = b.rule(ByRIR, l1)  # IR C & ~C -> IR f | f
     l3 = b.taut(Imp(And(c, psi), c))
-    l4 = b.rir(l3)  # IR (C & g) & ~(C & g) -> IR C | C
+    l4 = b.rule(ByRIR, l3)  # IR (C & g) & ~(C & g) -> IR C | C
     core_target = Imp(
         And(IR(And(c, psi)), Not(And(c, psi))), Or(IR(phi), phi)
     )
@@ -687,7 +667,7 @@ def conjunction_rule_ri(n: int) -> DerivedRule:
             Imp(_conj([IR(px), Not(px), IR(xx), Not(xx)]), IR(And(px, xx))),
         )
         flat = b.taut(Iff(And(px, xx), And(bigger, psi)))
-        rew = b.rew_ir(flat)
+        rew = b.rule(ByREW, flat, 1)  # the IR conclusion
         pair_ant = _conj([IR(px), Not(px), IR(xx), Not(xx)])
         step_target = Imp(
             pair_ant, _conj(wrongish(And(bigger, psi)))

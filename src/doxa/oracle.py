@@ -35,6 +35,7 @@ from .syntax import (
     BINARY_TYPES,
     FI,
     MODAL_TYPES,
+    MODALITIES,
     IR,
     And,
     Atom,
@@ -536,9 +537,6 @@ def aux_valid_on(
 # ---------------------------------------------------------------------------
 # Formula corpus enumeration
 
-_MODALITY_CTOR = {"W": W, "B": Box, "IR": IR, "FI": FI}
-
-
 @lru_cache(maxsize=64)
 def _pool(
     atoms: tuple[str, ...], max_size: int, modalities: tuple[str, ...]
@@ -549,7 +547,7 @@ def _pool(
     (negation, conjunction, the chosen modalities); each size bucket is
     sorted by printed form, so enumeration order is size-lexicographic.
     """
-    ctors = [Not] + [_MODALITY_CTOR[m] for m in modalities]
+    ctors = [Not] + [MODALITIES[m] for m in modalities]
     buckets: list[list[Formula]] = [[]]
     buckets.append([Atom(a) for a in sorted(atoms)])
     for n in range(2, max_size + 1):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-RESERVED = frozenset({"W", "B", "IR", "FI", "T", "F"})
 
 
 class FormulaError(ValueError):
@@ -123,14 +122,17 @@ class FI(Formula):
     arg: Formula
 
 
-MODAL_TYPES = (W, Box, IR, FI)
+# The modal operators by token, for the parser, the printer and the corpus.
+MODALITIES = {"W": W, "B": Box, "IR": IR, "FI": FI}
+MODAL_TYPES = tuple(MODALITIES.values())
+RESERVED = frozenset(MODALITIES) | {"T", "F"}
 BINARY_TYPES = (And, Or, Imp, Iff)
 
 # In place of the uncached field-tuple hash the dataclass decorator adds.
 for _cls in (Atom, Top, Bot, Not) + MODAL_TYPES + BINARY_TYPES:
     _cls.__hash__ = Formula.__hash__
 
-_MODAL_TOKEN = {W: "W", Box: "B", IR: "IR", FI: "FI"}
+_MODAL_TOKEN = {ctor: token for token, ctor in MODALITIES.items()}
 _BINARY_TOKEN = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
 
 
@@ -234,9 +236,9 @@ class _Parser:
         if tok.kind == "~":
             self.take()
             return Not(self.unary())
-        if tok.kind in ("W", "B", "IR", "FI"):
+        ctor = MODALITIES.get(tok.kind)
+        if ctor is not None:
             self.take()
-            ctor = {"W": W, "B": Box, "IR": IR, "FI": FI}[tok.kind]
             return ctor(self.unary())
         return self.primary()
 

@@ -195,20 +195,13 @@ class PreservationReport:
 def verify_preservation(
     m1: Model,
     m2: Model,
-    states: tuple[str, ...] | None = None,
     budget: SearchBudget = SearchBudget(atoms=("p",)),
 ) -> PreservationReport:
     """Truth agreement between two models on shared states, over the corpus.
 
     Reports the first (state, formula) violation in corpus order if any.
     """
-    if states is None:
-        shared = set(m1.frame.states) & set(m2.frame.states)
-        states = tuple(s for s in m1.frame.states if s in shared)
-    else:
-        for s in states:
-            if s not in m1.frame.successor_map or s not in m2.frame.successor_map:
-                raise semantics.UnknownStateError(s)
+    states = [s for s in m1.frame.states if s in m2.frame.successor_map]
     checked = 0
     for f in oracle.corpus_for(budget):
         checked += 1

@@ -14,6 +14,7 @@ from doxa.hilbert import (
     ByTaut,
     Proof,
     ProofLine,
+    RULES,
     ProofScriptError,
     Schema,
     check_derived_rule,
@@ -26,7 +27,7 @@ from doxa.hilbert import (
 )
 from doxa.oracle import SearchBudget, valid_on
 from doxa.registry import GOLDEN_SCRIPTS, load_proof_script
-from doxa.syntax import parse, print_formula
+from doxa.syntax import Atom, parse, print_formula
 from doxa.transform import w_to_ri
 
 
@@ -424,3 +425,16 @@ WITNESS_SCRIPTS = Path(__file__).parent.parent / "perfbench" / "golden" / "witne
 def test_built_witnesses_match_the_committed_scripts(kind, builder, n):
     script = (WITNESS_SCRIPTS / f"{kind}_conjunction_rule_n{n}.proof").read_text()
     assert builder(n).witness == parse_proof_script(script)
+
+
+def test_readme_rule_table_matches_the_rules():
+    rows = {
+        line.split("|")[1].strip(): line
+        for line in (Path(__file__).parent.parent / "README.md").read_text().splitlines()
+        if line.startswith("| `r") and " i` " in line
+    }
+    for rule in RULES.values():
+        source = rule.source_type(Atom("phi"), Atom("psi"))
+        licensed = " or ".join(f"`{print_formula(c)}`" for c in rule.conclusions(source))
+        escaped = licensed.replace("|", "\\|")  # a literal | in a Markdown table cell
+        assert rows[f"`{rule.keyword} i`"].endswith(f"| {escaped} |")
