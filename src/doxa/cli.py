@@ -51,12 +51,16 @@ def _max_states(args) -> int:
 
 
 def _budget(args, atoms: tuple[str, ...] = ("p", "q", "r")) -> SearchBudget:
-    """The search budget of a command; ``atoms`` applies without ``--atoms``."""
+    """The search budget of a command; ``atoms`` applies without ``--atoms``.
+
+    ``transform`` has no ``--max-states``: its preservation check reads
+    no frames, so it keeps the default state bound.
+    """
     try:
         if getattr(args, "atoms", None):
             atoms = tuple(Atom(a.strip()).name for a in args.atoms.split(","))
         return SearchBudget(
-            max_states=_max_states(args),
+            max_states=_max_states(args) if "max_states" in args else SearchBudget.max_states,
             atoms=atoms,
             max_modal_depth=getattr(args, "depth", 2),
             max_size=getattr(args, "size", 7),
@@ -267,8 +271,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget_flags(p, atoms=True, corpus=False):
-        p.add_argument("--max-states", type=_positive_int, default=None, help="state budget (default: DOXA_MAX_STATES or 3)")
+    def add_budget_flags(p, states=True, atoms=True, corpus=False):
+        if states:
+            p.add_argument(
+                "--max-states", type=_positive_int, default=None,
+                help="state budget (default: DOXA_MAX_STATES or 3)",
+            )
         if atoms:
             p.add_argument("--atoms", default=None, help="comma-separated atom list for valuations")
         if corpus:
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("state", nargs="?")
     p.add_argument("--verify", action="store_true", help="check truth preservation on shared states")
-    add_budget_flags(p, corpus=True)
+    add_budget_flags(p, states=False, corpus=True)
     p.set_defaults(fn=cmd_transform)
 
     p = sub.add_parser("verify-paper", help="run the built-in regression battery")

@@ -406,10 +406,10 @@ _AXIOM_RE = re.compile(r"^([A-Za-z0-9-]+)(\{.*\})?$")
 def _parse_justification(text: str, line_no: int) -> Justification:
     text = text.strip()
     parts = text.split()
-    if parts and parts[0] == "taut":
-        return ByTaut()
-    if parts and parts[0] == "premise":
-        return ByPremise()
+    if parts and parts[0] in ("taut", "premise"):
+        if len(parts) != 1:
+            raise ProofScriptError(f"{parts[0]} takes no arguments", line_no)
+        return ByTaut() if parts[0] == "taut" else ByPremise()
     if parts and parts[0] == "mp":
         if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
             raise ProofScriptError("mp needs two line numbers", line_no)

@@ -3,18 +3,20 @@
 Each check pins one documented claim about the logics (axiom soundness
 on its frame class, strictness witnesses, expressivity and frame
 undefinability evidence, translation chains, construction batteries,
-golden proofs) together with the expected bounded verdict.  Outcomes
-are ``pass``, ``fail``, or ``budget-insufficient`` when a search that
-must find a witness was given fewer states than the smallest known
-witness; the third outcome is never conflated with failure.
+golden proofs).  A check is an id, a kind and a runner from a state
+budget to an outcome: ``pass``, ``fail``, or ``budget-insufficient``
+when a search that must find a witness was given fewer states than the
+smallest known witness; the third outcome is never conflated with
+failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
+from functools import cache
 from importlib import resources
-from typing import Callable, Sequence
+from typing import Callable
 
 from . import hilbert, oracle, semantics, transform
 from .oracle import SearchBudget
@@ -36,8 +38,6 @@ class CheckOutcome:
 class PaperCheck:
     id: str
     kind: str
-    description: str
-    expected: str
     runner: Callable[[int], CheckOutcome]
 
 
@@ -62,72 +62,52 @@ REFLEXIVE_PAIR = Model.of(
 POINT_FRAME = Frame.of(["s"], [("s", "s")])
 SPRAWL_FRAME = Frame.of(
     ["u'", "s'", "t'"],
-    [
-        ("u'", "u'"),
-        ("u'", "s'"),
-        ("s'", "s'"),
-        ("s'", "u'"),
-        ("s'", "t'"),
-        ("t'", "t'"),
-    ],
+    [("u'", "u'"), ("u'", "s'"), ("s'", "s'"), ("s'", "u'"), ("s'", "t'"), ("t'", "t'")],
 )
 
 UNDEFINABLE_PROPERTIES = (
-    "transitive",
-    "euclidean",
-    "symmetric",
-    "weakly-connected",
-    "weakly-directed",
-    "partial-functional",
-    "narcissistic",
-    "partially-narcissistic",
+    "transitive", "euclidean", "symmetric", "weakly-connected",
+    "weakly-directed", "partial-functional", "narcissistic", "partially-narcissistic",
 )
 
-
-def _budget(max_states: int, atoms: Sequence[str] = ("p", "q", "r")) -> SearchBudget:
-    return SearchBudget(max_states=max_states, atoms=tuple(atoms))
+# The corpus of the fixed-frame checks: one atom, the default depth and size.
+# Their comparisons read no state budget.
+_ONE_ATOM = SearchBudget(atoms=("p",))
 
 
 # ---------------------------------------------------------------------------
-# Check constructors
+# Check constructors and runners.  Each runner looks its search or battery
+# up in its module when it runs, so a rebound name is the one called.
 
 
 def _bounded_valid(
-    check_id: str, formula_text: str | Formula, class_expr: str, description: str
+    check_id: str, formula_text: str | Formula, class_expr: str = "all", aux: bool = False
 ) -> PaperCheck:
     formula = parse(formula_text) if isinstance(formula_text, str) else formula_text
     fc = frame_class(class_expr)
+    prefix = "aux " if aux else ""
 
     def run(max_states: int) -> CheckOutcome:
-        report = oracle.valid_on(formula, fc, _budget(max_states))
+        search = oracle.aux_valid_on if aux else oracle.valid_on
+        report = search(formula, fc, SearchBudget(max_states))
         if report.countermodel_found:
             model, state = report.witness
-            return _outcome(False, f"countermodel at {state}: {semantics.dump_model(model)}")
-        return _outcome(True, f"no countermodel in {report.models_examined} models")
+            return _outcome(False, f"{prefix}countermodel at {state}: {semantics.dump_model(model)}")
+        verdict = "aux-valid" if aux else "no countermodel"
+        return _outcome(True, f"{verdict} in {report.models_examined} models")
 
-    return PaperCheck(
-        check_id,
-        "bounded-valid",
-        description,
-        f"no countermodel on {fc.describe()} frames within budget",
-        run,
-    )
+    return PaperCheck(check_id, "bounded-valid", run)
 
 
 def _countermodel_exists(
-    check_id: str,
-    formula_text: str,
-    class_expr: str,
-    min_states: int,
-    description: str,
-    aux: bool = False,
+    check_id: str, formula_text: str, class_expr: str, min_states: int, aux: bool = False
 ) -> PaperCheck:
     formula = parse(formula_text)
     fc = frame_class(class_expr)
 
     def run(max_states: int) -> CheckOutcome:
         search = oracle.aux_valid_on if aux else oracle.find_countermodel
-        report = search(formula, fc, _budget(max_states))
+        report = search(formula, fc, SearchBudget(max_states))
         if report.countermodel_found:
             model, state = report.witness
             return _outcome(True, f"witness at {state}: {semantics.dump_model(model)}")
@@ -138,50 +118,23 @@ def _countermodel_exists(
             )
         return _outcome(False, f"no witness found in {report.models_examined} models")
 
-    return PaperCheck(
-        check_id,
-        "countermodel-exists",
-        description,
-        f"countermodel on {fc.describe()} frames",
-        run,
-    )
-
-
-def _aux_valid(check_id: str, formula_text: str, description: str) -> PaperCheck:
-    formula = parse(formula_text)
-
-    def run(max_states: int) -> CheckOutcome:
-        report = oracle.aux_valid_on(formula, semantics.ALL_FRAMES, _budget(max_states))
-        if report.countermodel_found:
-            model, state = report.witness
-            return _outcome(False, f"aux countermodel at {state}: {semantics.dump_model(model)}")
-        return _outcome(True, f"aux-valid in {report.models_examined} models")
-
-    return PaperCheck(
-        check_id, "bounded-valid", description, "no aux-semantics countermodel within budget", run
-    )
+    return PaperCheck(check_id, "countermodel-exists", run)
 
 
 def _chain_check(axiom: str) -> PaperCheck:
     def run(max_states: int) -> CheckOutcome:
         chain = transform.almost_def_chain(axiom)
-        report = transform.check_chain(chain, _budget(max_states))
+        report = transform.check_chain(chain, SearchBudget(max_states))
         bad = [i for i, step in enumerate(report.steps, 1) if step.countermodel_found]
         if bad:
             return _outcome(False, f"steps {bad} have countermodels")
         return _outcome(True, f"all {len(report.steps)} steps countermodel-free")
 
-    return PaperCheck(
-        f"chain-a{axiom.lower()}-steps",
-        "chain",
-        f"every consecutive pair of the A{axiom} rewrite chain is equivalent",
-        "all steps countermodel-free within budget",
-        run,
-    )
+    return PaperCheck(f"chain-a{axiom.lower()}-steps", "chain", run)
 
 
 def _battery_check(
-    check_id: str, kind: str, description: str, runner: Callable[[int], oracle.BatteryReport]
+    check_id: str, runner: Callable[[int], oracle.BatteryReport], kind: str = "preservation"
 ) -> PaperCheck:
     def run(max_states: int) -> CheckOutcome:
         report = runner(max_states)
@@ -189,10 +142,10 @@ def _battery_check(
             return _outcome(True, f"{report.items_checked} cases checked")
         return _outcome(False, report.failure or "battery failure")
 
-    return PaperCheck(check_id, kind, description, "battery passes", run)
+    return PaperCheck(check_id, kind, run)
 
 
-def _proof_check(check_id: str, script: str, description: str) -> PaperCheck:
+def _proof_check(check_id: str, script: str) -> PaperCheck:
     def run(_max_states: int) -> CheckOutcome:
         proof = hilbert.parse_proof_script(load_proof_script(script))
         result = hilbert.check_proof(proof)
@@ -200,7 +153,7 @@ def _proof_check(check_id: str, script: str, description: str) -> PaperCheck:
             return _outcome(True, f"{len(proof.lines)} lines accepted")
         return _outcome(False, f"rejected at line {result.line}: {result.reason}")
 
-    return PaperCheck(check_id, "proof", description, "proof accepted", run)
+    return PaperCheck(check_id, "proof", run)
 
 
 def load_proof_script(name: str) -> str:
@@ -243,85 +196,48 @@ def _derived_rule_outcome(builder: Callable[[int], hilbert.DerivedRule]) -> Chec
     return _outcome(True, "witnesses for n in 0..3 accepted")
 
 
-def _agreement_check() -> PaperCheck:
-    def run(_max_states: int) -> CheckOutcome:
-        budget = SearchBudget(max_states=3, atoms=("p",), max_modal_depth=2, max_size=7)
-        report = oracle.agree_up_to(
-            REFLEXIVE_POINT, "s", REFLEXIVE_PAIR, "s'", budget, modalities=("W",)
-        )
-        if report.agree:
-            return _outcome(True, f"agree on {report.formulas_checked} formulas")
-        return _outcome(False, f"distinguished by {print_formula(report.distinguishing)}")
-
-    return PaperCheck(
-        "s5-pair-w-agreement",
-        "agreement",
-        "the two reflexive pointed models agree on the box-free corpus",
-        "agreement on the whole corpus",
-        run,
+def _w_agreement(_max_states: int) -> CheckOutcome:
+    report = oracle.agree_up_to(
+        REFLEXIVE_POINT, "s", REFLEXIVE_PAIR, "s'", _ONE_ATOM, modalities=("W",)
     )
+    if report.agree:
+        return _outcome(True, f"agree on {report.formulas_checked} formulas")
+    return _outcome(False, f"distinguished by {print_formula(report.distinguishing)}")
 
 
-def _separation_check() -> PaperCheck:
-    def run(_max_states: int) -> CheckOutcome:
-        budget = SearchBudget(max_states=3, atoms=("p",), max_modal_depth=2, max_size=7)
-        report = oracle.agree_up_to(
-            REFLEXIVE_POINT, "s", REFLEXIVE_PAIR, "s'", budget, modalities=("W", "B")
-        )
-        if report.agree:
-            return _outcome(False, "no distinguishing formula found with B in the language")
-        witness = print_formula(report.distinguishing)
-        if witness != "B p":
-            return _outcome(False, f"first distinguishing formula is {witness}, expected B p")
-        return _outcome(True, "separated by B p")
-
-    return PaperCheck(
-        "s5-pair-box-separation",
-        "agreement",
-        "adding the belief box separates the two pointed models, first witness B p",
-        "disagreement with first witness B p",
-        run,
+def _box_separation(_max_states: int) -> CheckOutcome:
+    report = oracle.agree_up_to(
+        REFLEXIVE_POINT, "s", REFLEXIVE_PAIR, "s'", _ONE_ATOM, modalities=("W", "B")
     )
+    if report.agree:
+        return _outcome(False, "no distinguishing formula found with B in the language")
+    witness = print_formula(report.distinguishing)
+    if witness != "B p":
+        return _outcome(False, f"first distinguishing formula is {witness}, expected B p")
+    return _outcome(True, "separated by B p")
 
 
-def _property_table_check() -> PaperCheck:
-    def run(_max_states: int) -> CheckOutcome:
-        wrong = [
-            p
-            for p in UNDEFINABLE_PROPERTIES
-            if semantics.has_property(POINT_FRAME, p)
-            == semantics.has_property(SPRAWL_FRAME, p)
-        ]
-        if wrong:
-            return _outcome(False, f"frames do not differ on {wrong}")
-        return _outcome(True, f"frames differ on all {len(UNDEFINABLE_PROPERTIES)} properties")
-
-    return PaperCheck(
-        "undefinability-property-table",
-        "property-table",
-        "the witness frame pair differs on each of the eight listed properties",
-        "all eight properties differ",
-        run,
-    )
+def _property_table(_max_states: int) -> CheckOutcome:
+    wrong = [
+        p
+        for p in UNDEFINABLE_PROPERTIES
+        if semantics.has_property(POINT_FRAME, p) == semantics.has_property(SPRAWL_FRAME, p)
+    ]
+    if wrong:
+        return _outcome(False, f"frames do not differ on {wrong}")
+    return _outcome(True, f"frames differ on all {len(UNDEFINABLE_PROPERTIES)} properties")
 
 
 def _gap_check(prop: str) -> PaperCheck:
     def run(_max_states: int) -> CheckOutcome:
-        budget = SearchBudget(max_states=3, atoms=("p",), max_modal_depth=2, max_size=7)
-        report = oracle.definability_gap(POINT_FRAME, SPRAWL_FRAME, prop, budget)
+        report = oracle.definability_gap(POINT_FRAME, SPRAWL_FRAME, prop, _ONE_ATOM)
         if not report.properties_differ:
             return _outcome(False, "frames agree on the property")
         if report.separating is not None:
             return _outcome(False, f"separated by {print_formula(report.separating)}")
         return _outcome(True, f"no separating formula among {report.formulas_checked}")
 
-    return PaperCheck(
-        f"frame-gap-{prop}",
-        "definability-gap",
-        f"{prop} differs on the frame pair but no corpus formula separates them",
-        "property differs, no separating formula",
-        run,
-    )
+    return PaperCheck(f"frame-gap-{prop}", "definability-gap", run)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +246,7 @@ def _gap_check(prop: str) -> PaperCheck:
 _A4 = "W q & W (p & q) -> W ((W r -> W (p & r)) & q)"
 _A5 = "W q & ~W (p & q) -> W ((W r -> ~W (p & r)) & q)"
 _AB = "W q & ~p -> W ((W r -> ~W (p & r)) & q)"
+# A4 without its second guard W (p & q).
 _STRONGER_A4 = "W q -> W ((W r -> W (p & r)) & q)"
 _AQ = "W p -> W (~W q & p)"
 _RI_CON = "IR p & ~p & IR q & ~q -> IR (p & q)"
@@ -339,187 +256,95 @@ _RI_4 = substitute(
 )
 
 
-def _all_checks() -> tuple[PaperCheck, ...]:
+@cache
+def all_checks() -> tuple[PaperCheck, ...]:
     checks: list[PaperCheck] = [
         # Soundness battery: each axiom on its frame class.
-        _bounded_valid("a1-sound-all", "W p -> ~p", "all", "A1: a false belief is false"),
-        _bounded_valid(
-            "a2-sound-all",
-            "W p & W q -> W (p & q)",
-            "all",
-            "A2: false beliefs are closed under conjunction",
-        ),
-        _bounded_valid("ad-sound-serial", "~W F", "serial", "AD holds on serial frames"),
-        _bounded_valid("at-sound-reflexive", "~W p", "reflexive", "AT holds on reflexive frames"),
-        _bounded_valid("a4-sound-transitive", _A4, "transitive", "A4 holds on transitive frames"),
-        _bounded_valid("a5-sound-euclidean", _A5, "euclidean", "A5 holds on Euclidean frames"),
-        _bounded_valid("a4-sound-euclidean", _A4, "euclidean", "A4 holds on Euclidean frames too"),
-        _bounded_valid(
-            "stronger-a4-sound-euclidean",
-            _STRONGER_A4,
-            "euclidean",
-            "the strengthening of A4 without the second guard holds on Euclidean frames",
-        ),
-        _bounded_valid("ab-sound-symmetric", _AB, "symmetric", "AB holds on symmetric frames"),
-        _bounded_valid("ri-equ-sound-all", "IR p <-> IR ~p", "all", "RI-Equ holds everywhere"),
-        _bounded_valid("ri-con-sound-all", _RI_CON, "all", "RI-Con holds everywhere"),
-        _bounded_valid(
-            "ri-d-sound-serial-transitive", "~IR F", "serial+transitive", "RI-D on serial transitive frames"
-        ),
-        _bounded_valid(
-            "ri-4-sound-serial-transitive", _RI_4, "serial+transitive", "RI-4 on serial transitive frames"
-        ),
-        # The guarded definability of the box.
-        _bounded_valid(
-            "almost-definability",
-            "W q -> (B p <-> W (p & q))",
-            "all",
-            "under the guard W q the box is expressible through W",
-        ),
+        _bounded_valid("a1-sound-all", "W p -> ~p"),
+        _bounded_valid("a2-sound-all", "W p & W q -> W (p & q)"),
+        _bounded_valid("ad-sound-serial", "~W F", "serial"),
+        _bounded_valid("at-sound-reflexive", "~W p", "reflexive"),
+        _bounded_valid("a4-sound-transitive", _A4, "transitive"),
+        _bounded_valid("a5-sound-euclidean", _A5, "euclidean"),
+        _bounded_valid("a4-sound-euclidean", _A4, "euclidean"),
+        _bounded_valid("stronger-a4-sound-euclidean", _STRONGER_A4, "euclidean"),
+        _bounded_valid("ab-sound-symmetric", _AB, "symmetric"),
+        _bounded_valid("ri-equ-sound-all", "IR p <-> IR ~p"),
+        _bounded_valid("ri-con-sound-all", _RI_CON),
+        _bounded_valid("ri-d-sound-serial-transitive", "~IR F", "serial+transitive"),
+        _bounded_valid("ri-4-sound-serial-transitive", _RI_4, "serial+transitive"),
+        # The guarded definability of the box: under W q, B is expressible through W.
+        _bounded_valid("almost-definability", "W q -> (B p <-> W (p & q))"),
         # Interdefinability of W and IR.
-        _bounded_valid(
-            "w-as-ir-interdefinable", "W p <-> (IR p & ~p)", "all", "W is definable from IR"
-        ),
-        _bounded_valid(
-            "ir-as-w-interdefinable", "IR p <-> (W p | W ~p)", "all", "IR is definable from W"
-        ),
+        _bounded_valid("w-as-ir-interdefinable", "W p <-> (IR p & ~p)"),
+        _bounded_valid("ir-as-w-interdefinable", "IR p <-> (W p | W ~p)"),
         # W is false at reflexive states, for the whole corpus.
         _battery_check(
-            "wrong-false-at-reflexive",
-            "bounded-valid",
-            "W g fails at every reflexive state of every model, for every corpus g",
-            lambda n: oracle.wrong_false_at_reflexive(n),
+            "wrong-false-at-reflexive", lambda n: oracle.wrong_false_at_reflexive(n), "bounded-valid"
         ),
         # Strictness battery: these need countermodels.
-        _countermodel_exists(
-            "stronger-a4-invalid-transitive",
-            _STRONGER_A4,
-            "transitive",
-            3,
-            "the strengthened A4 fails on some transitive frame",
-        ),
-        _countermodel_exists("ad-invalid-all", "~W F", "all", 1, "AD fails without seriality"),
-        _countermodel_exists("at-invalid-all", "~W p", "all", 1, "AT fails without reflexivity"),
-        _countermodel_exists(
-            "aq-invalid-all", _AQ, "all", 2, "AQ fails on some frame (it needs Euclideanness)"
-        ),
-        # Auxiliary semantics: the incompleteness witness.
-        _countermodel_exists(
-            "aux-ri-equ-invalid",
-            "IR p <-> IR ~p",
-            "all",
-            1,
-            "RI-Equ fails under the auxiliary reading of IR",
-            aux=True,
-        ),
-        _aux_valid(
-            "aux-ri-con-valid", _RI_CON, "RI-Con holds under the auxiliary reading"
-        ),
-        _aux_valid(
-            "aux-a0-valid",
-            "(IR p & ~p -> IR p) & (IR p | ~IR p)",
-            "tautology instances hold under the auxiliary reading",
-        ),
-        _aux_valid(
+        _countermodel_exists("stronger-a4-invalid-transitive", _STRONGER_A4, "transitive", 3),
+        _countermodel_exists("ad-invalid-all", "~W F", "all", 1),
+        _countermodel_exists("at-invalid-all", "~W p", "all", 1),
+        # AQ needs Euclideanness.
+        _countermodel_exists("aq-invalid-all", _AQ, "all", 2),
+        # Auxiliary semantics, IR g read as g: the incompleteness witness, then
+        # RI-Con, tautology instances and samples derived by the IR rule.
+        _countermodel_exists("aux-ri-equ-invalid", "IR p <-> IR ~p", "all", 1, aux=True),
+        _bounded_valid("aux-ri-con-valid", _RI_CON, aux=True),
+        _bounded_valid("aux-a0-valid", "(IR p & ~p -> IR p) & (IR p | ~IR p)", aux=True),
+        _bounded_valid(
             "aux-derived-rules-valid",
             "(IR (p & q) & ~(p & q) -> IR p | p) & (IR p & ~p -> IR p | p)",
-            "samples derived by the IR rule hold under the auxiliary reading",
+            aux=True,
         ),
         # Translation chains.
         _chain_check("4"),
         _chain_check("5"),
         _chain_check("B"),
-        # Expressivity.
-        _agreement_check(),
-        _separation_check(),
-        # Frame undefinability.
-        _property_table_check(),
+        # Expressivity: W alone does not tell the two reflexive models apart; B p does.
+        PaperCheck("s5-pair-w-agreement", "agreement", _w_agreement),
+        PaperCheck("s5-pair-box-separation", "agreement", _box_separation),
+        # Frame undefinability: the frame pair differs on each property, yet no
+        # corpus formula separates the frames.
+        PaperCheck("undefinability-property-table", "property-table", _property_table),
         *[_gap_check(p) for p in UNDEFINABLE_PROPERTIES],
-        # Model constructions.
+        # Model constructions: the closure of a secondarily reflexive model is
+        # Euclidean, cone augmentation keeps transitivity and gains
+        # Euclideanness, and both preserve truth.
+        _battery_check("euclidean-closure-battery", lambda n: transform.closure_battery(n)),
+        _battery_check("generated-submodel-battery", lambda n: transform.submodel_property_battery(n)),
+        _battery_check("cone-augment-battery", lambda n: transform.cone_battery(n)),
+        # Interdefinability rewrites preserve truth; the round trip is the identity.
         _battery_check(
-            "euclidean-closure-battery",
-            "preservation",
-            "closure of secondarily reflexive models is Euclidean and truth-preserving",
-            lambda n: transform.closure_battery(n),
+            "translation-w2ri-preserves", lambda n: transform.translation_battery("w2ri", n)
         ),
         _battery_check(
-            "generated-submodel-battery",
-            "preservation",
-            "generated submodels keep the listed frame properties",
-            lambda n: transform.submodel_property_battery(n),
+            "translation-ri2w-preserves", lambda n: transform.translation_battery("ri2w", n)
         ),
         _battery_check(
-            "cone-augment-battery",
-            "preservation",
-            "cone augmentation keeps transitivity, gains Euclideanness, preserves truth",
-            lambda n: transform.cone_battery(n),
-        ),
-        # Interdefinability rewrites preserve truth.
-        _battery_check(
-            "translation-w2ri-preserves",
-            "preservation",
-            "the W-to-IR rewrite preserves truth on the corpus",
-            lambda n: transform.translation_battery("w2ri", n),
-        ),
-        _battery_check(
-            "translation-ri2w-preserves",
-            "preservation",
-            "the IR-to-W rewrite preserves truth on the corpus",
-            lambda n: transform.translation_battery("ri2w", n),
-        ),
-        _battery_check(
-            "translation-roundtrip-semantic",
-            "preservation",
-            "the round trip through IR is semantically the identity",
-            lambda n: transform.translation_battery("roundtrip", n),
+            "translation-roundtrip-semantic", lambda n: transform.translation_battery("roundtrip", n)
         ),
         # Golden proofs.
-        _proof_check(
-            "proof-kw-conjunct-weakening",
-            "kw_conjunct_weakening.proof",
-            "the conjunct-weakening rule witness in KW",
-        ),
-        _proof_check("proof-k5w-aq", "k5w_aq.proof", "the AQ derivation in K5W"),
-        _proof_check(
-            "proof-kri-conjunct-weakening",
-            "kri_conjunct_weakening.proof",
-            "the conjunct-weakening rule witness in KRI",
-        ),
+        _proof_check("proof-kw-conjunct-weakening", "kw_conjunct_weakening.proof"),
+        _proof_check("proof-k5w-aq", "k5w_aq.proof"),
+        _proof_check("proof-kri-conjunct-weakening", "kri_conjunct_weakening.proof"),
+        # The n-indexed conjunction rules in KW and KRI.
         PaperCheck(
             "derived-rule-w-conjunctions",
             "proof",
-            "the n-indexed conjunction rule in KW, witnesses for n in 0..3",
-            "all witnesses accepted",
             lambda n: _derived_rule_outcome(hilbert.conjunction_rule_w),
         ),
         PaperCheck(
             "derived-rule-ri-conjunctions",
             "proof",
-            "the n-indexed conjunction rule in KRI, witnesses for n in 0..3",
-            "all witnesses accepted",
             lambda n: _derived_rule_outcome(hilbert.conjunction_rule_ri),
         ),
-        PaperCheck(
-            "proof-mutation-sweep",
-            "proof",
-            "every single-line corruption of a golden proof is rejected",
-            "all corruptions rejected",
-            _mutation_sweep,
-        ),
+        PaperCheck("proof-mutation-sweep", "proof", _mutation_sweep),
     ]
     ids = [c.id for c in checks]
     assert len(ids) == len(set(ids)), "duplicate check ids"
     return tuple(checks)
-
-
-_CHECKS: tuple[PaperCheck, ...] | None = None
-
-
-def all_checks() -> tuple[PaperCheck, ...]:
-    global _CHECKS
-    if _CHECKS is None:
-        _CHECKS = _all_checks()
-    return _CHECKS
 
 
 def run_checks(

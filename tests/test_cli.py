@@ -225,11 +225,25 @@ def test_env_budget_is_read_on_every_call(capsys, monkeypatch):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("fmt, golden", [("text", "paper-3.txt"), ("json", "paper-3.json")])
-def test_verify_paper_matches_the_golden_report(capsys, fmt, golden):
-    code, out, _ = run(capsys, "verify-paper", "--max-states", "3", "--format", fmt)
+_SUFFIX = {"text": "txt", "json": "json"}
+
+
+@pytest.mark.parametrize(
+    "states, fmt",
+    [pytest.param(n, fmt, id=f"{fmt}-paper-{n}.{_SUFFIX[fmt]}") for n in (3, 2) for fmt in _SUFFIX],
+)
+def test_verify_paper_matches_the_golden_report(capsys, states, fmt):
+    code, out, _ = run(capsys, "verify-paper", "--max-states", str(states), "--format", fmt)
     assert code == 0
-    assert out == (GOLDEN / golden).read_text()
+    assert out == (GOLDEN / f"paper-{states}.{_SUFFIX[fmt]}").read_text()
+    # 2 states are too few for the 3-state witness of stronger-a4-invalid-transitive.
+    assert ("[BUDGET]" in out or '"budget-insufficient"' in out) == (states == 2)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("paper-*")))
+def test_golden_reports_equal_the_benchmark_goldens(name):
+    twin = Path(__file__).parents[1] / "perfbench" / "golden" / name
+    assert (GOLDEN / name).read_bytes() == twin.read_bytes()
 
 
 def test_verify_paper_json_deterministic(capsys):
@@ -265,17 +279,27 @@ def _usage_error(code, err):
         ["valid", "p"],
         ["counter", "p"],
         ["chain", "--axiom", "4", "--check"],
-        ["transform", "closure", "MODEL", "--verify"],
         ["verify-paper", "--filter", "a1-sound-all"],
     ],
     ids=lambda argv: argv[0],
 )
 @pytest.mark.parametrize("value", ["0", "-2"])
-def test_max_states_below_one_is_a_usage_error(capsys, pair_file, argv, value):
-    argv = [pair_file if a == "MODEL" else a for a in argv]
+def test_max_states_below_one_is_a_usage_error(capsys, argv, value):
     code, out, err = run(capsys, *argv, "--max-states", value)
     assert _usage_error(code, err) and "positive integer" in err
     assert out == ""
+
+
+def test_transform_reads_no_state_budget(capsys, monkeypatch, pair_file):
+    # The preservation check compares two given models: no frames to bound.
+    code, out, err = run(capsys, "transform", "closure", pair_file, "--verify", "--max-states", "2")
+    assert code == 2 and "unrecognized arguments: --max-states 2" in err and out == ""
+    argv = ["transform", "closure", pair_file, "--verify", "--size", "3"]
+    monkeypatch.delenv("DOXA_MAX_STATES", raising=False)
+    expected = run(capsys, *argv)
+    assert expected[0] == 0 and "preservation: ok" in expected[1]
+    monkeypatch.setenv("DOXA_MAX_STATES", "zero")
+    assert run(capsys, *argv) == expected
 
 
 _BAD_ATOM_LISTS = {

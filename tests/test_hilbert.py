@@ -268,6 +268,10 @@ def test_script_errors_carry_line_numbers():
         parse_proof_script("1. p ; taut\n")  # no system header
     with pytest.raises(ProofScriptError):
         parse_proof_script("system: KW\n1. p ; because\n")
+    for extra in ("taut because I say so", "premise x"):
+        with pytest.raises(ProofScriptError, match="takes no arguments") as exc:
+            parse_proof_script(f"system: KW\npremise: p\n1. p -> p ; {extra}\n")
+        assert exc.value.line_no == 3
 
 
 def test_script_axiom_substitution_syntax():
