@@ -2,9 +2,14 @@
 
 Frames are enumerated labeled, smallest first, in lexicographic order of
 the relation bitmask; valuations likewise.  Searches therefore return
-deterministic first witnesses.  A countermodel verdict is conclusive
-invalidity; the absence of one is evidence only and is always reported
-with its budget.
+deterministic first witnesses.  A search visits one frame per
+isomorphism class, the canonical one: the mask that no relabelling of
+the states makes smaller.  Frame classes and truth are invariant under
+relabelling, so the least frame with a countermodel is canonical, and
+the search returns the witness of a scan of every labeled frame, with
+that scan's counts.  Batteries visit every labeled frame.  A
+countermodel verdict is conclusive invalidity; the absence of one is
+evidence only and is always reported with its budget.
 
 Search uses a bit-parallel evaluator.  On one frame of ``k`` states the
 column of a formula is one int whose bit ``v*k + i`` is its truth at
@@ -16,17 +21,19 @@ row, then that slot's least row: the same first witness as a
 frame-by-frame scan.  A battery checks a list of items on every frame
 and takes the least slot where any item fails, then the earliest such
 item: the first failure of a scan frame by frame, item by item.  Class
-membership is computed once per class and size, as Boolean circuits
-over the edge bits of all relation masks, so a search builds a
-``Frame`` only for its witness.  Every search witness is re-checked by
-the independent recursive evaluator before a report is returned.
+membership, and the canonical members, are computed once per class and
+size, as Boolean circuits over the edge bits of all relation masks, so
+a search builds a ``Frame`` only for its witness.  Every search witness
+is re-checked by the independent recursive evaluator before a report is
+returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from . import semantics
@@ -145,14 +152,20 @@ def model_at(frame: Frame, atoms: tuple[str, ...], index: int) -> Model:
 _BLOCK_BITS = 16
 
 
-def _class_blocks(fc: FrameClass, k: int) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """The ``k``-state members of ``fc``, block by block: the number ``n``
-    of members in a block and, per edge ``e = i*k + j``, a string of ``n``
-    characters, ``"1"`` where the member lacks the edge, last member first.
+def _class_blocks(
+    fc: FrameClass, k: int, canonical: bool = False
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """The ``k``-state members of ``fc``, block by block, skipping blocks
+    without one: the block's member bitset (bit ``m`` for the ``m``-th mask
+    of the block; ``m`` is the mask's low ``_BLOCK_BITS`` bits) and, per
+    edge ``e = i*k + j``, a string with one character per frame to pack,
+    ``"1"`` where the frame lacks the edge, last frame first.
 
     Membership is the class circuit (``FrameClass.members``) over the edge
     columns ``atom_column(e, 1, 2^(k*k))``: bit ``m`` is set iff mask ``m``
-    has edge ``e``.
+    has edge ``e``.  The frames to pack are the members, or with
+    ``canonical`` only those that are the least mask of their isomorphism
+    class (``_canonical`` over the edge columns of the members).
     """
     width = k * k
     low = min(width, _BLOCK_BITS)
@@ -162,20 +175,77 @@ def _class_blocks(fc: FrameClass, k: int) -> Iterator[tuple[int, tuple[str, ...]
     for block in range(1 << (width - low)):
         cols = low_cols + [full if (block >> (e - low)) & 1 else 0 for e in range(low, width)]
         members = fc.members([cols[i * k : (i + 1) * k] for i in range(k)], full)
-        # MSB first: character p stands for mask size - 1 - p.
-        pick = format(members, f"0{size}b").encode().translate(_ZERO_ONE)
-        yield members.bit_count(), tuple(
-            "".join(compress(format(full ^ col, f"0{size}b"), pick)) for col in cols
-        )
+        if not members:
+            continue
+        lack = _compress((format(full ^ col, f"0{size}b") for col in cols), members, size)
+        if canonical:
+            n = members.bit_count()
+            everyone = (1 << n) - 1
+            lack = _compress(lack, _canonical(k, [everyone ^ int(e, 2) for e in lack], everyone), n)
+        yield members, lack
+
+
+def _compress(digits: Iterable[str], keep: int, size: int) -> tuple[str, ...]:
+    """Each string of ``size`` binary digits, MSB first, cut down to the
+    digits of the bits that ``keep`` sets."""
+    if keep == (1 << size) - 1:
+        return tuple(digits)
+    if not keep:
+        return tuple("" for _ in digits)
+    # Character p stands for bit size - 1 - p.
+    pick = itemgetter(*compress(range(size), format(keep, f"0{size}b").encode().translate(_ZERO_ONE)))
+    return tuple("".join(pick(d)) for d in digits)
 
 
 _ZERO_ONE = bytes.maketrans(b"01", b"\x00\x01")
 
 
+@lru_cache(maxsize=8)
+def _relabellings(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Every relabelling of ``k`` states but the identity, as the pairs
+    ``(e, src)``, highest ``e`` first, where bit ``e`` of a relabelled mask
+    is bit ``src != e`` of the mask."""
+    out = []
+    for perm in permutations(range(k)):
+        src = [perm[e // k] * k + perm[e % k] for e in range(k * k)]
+        moved = tuple((e, src[e]) for e in reversed(range(k * k)) if src[e] != e)
+        if moved:
+            out.append(moved)
+    return tuple(out)
+
+
+def _canonical(k: int, has: Sequence[int], full: int) -> int:
+    """The canonical bits of a family of ``k``-state frames: bit ``t`` of
+    ``has[e]`` says whether frame ``t`` has edge ``e``, and bit ``t`` of
+    the result is set iff no relabelling makes frame ``t``'s mask smaller.
+
+    Each relabelling is compared with the mask from the top bit down: the
+    first bit where they differ decides, and a frame is dropped when the
+    relabelled mask has a 0 where the mask has a 1.
+    """
+    canon = full
+    for moved in _relabellings(k):
+        tied = canon  # frames still equal on the bits so far
+        for e, src in moved:
+            differ = tied & (has[e] ^ has[src])
+            canon ^= differ & has[e]
+            tied ^= differ
+            if not tied:
+                break
+    return canon
+
+
 @lru_cache(maxsize=64)
-def _class_blocks_cached(fc: FrameClass, k: int) -> tuple[tuple[int, tuple[str, ...]], ...]:
+def _class_blocks_cached(
+    fc: FrameClass, k: int, canonical: bool
+) -> tuple[tuple[int, tuple[str, ...]], ...]:
     """``_class_blocks`` kept for frames of up to 4 states: one block each."""
-    return tuple(_class_blocks(fc, k))
+    return tuple(_class_blocks(fc, k, canonical))
+
+
+def _blocks(fc: FrameClass, k: int, canonical: bool = False) -> Iterable[tuple[int, tuple[str, ...]]]:
+    """``_class_blocks``, from the cache up to 4 states."""
+    return _class_blocks_cached(fc, k, canonical) if k <= 4 else _class_blocks(fc, k, canonical)
 
 
 def _slot_bits(chars: str, k: int) -> int:
@@ -191,19 +261,26 @@ def _slot_bits(chars: str, k: int) -> int:
 _CHUNK_BITS = 1 << 18
 
 
+def _pack(k: int, lack: tuple[str, ...], rows: int) -> Iterator["FrameChunk"]:
+    """The frames of a block's ``lack`` strings in ascending mask order,
+    packed into chunks of ``slots = 2^(k*c)`` frames each for ``rows``
+    valuations: the most that fit ``_CHUNK_BITS``, and no more than the
+    block has."""
+    n = len(lack[0])
+    slots = 1
+    while slots < n and (slots << k) * rows * k <= _CHUNK_BITS:
+        slots <<= k
+    for start in range(0, n, slots):
+        end = n - start  # frame ``start`` is character ``end - 1``
+        lacks = tuple(_slot_bits(e[max(end - slots, 0) : end], k) for e in lack)
+        yield FrameChunk(k, slots, min(slots, end), lacks)
+
+
 def _class_chunks(fc: FrameClass, k: int, rows: int) -> Iterator["FrameChunk"]:
-    """The ``k``-state members of ``fc`` in ascending mask order, packed
-    into chunks of ``slots = 2^(k*c)`` frames each for ``rows`` valuations:
-    the most that fit ``_CHUNK_BITS``, and no more than a block's members."""
-    blocks = _class_blocks_cached(fc, k) if k <= 4 else _class_blocks(fc, k)
-    for n, lack in blocks:
-        slots = 1
-        while slots < n and (slots << k) * rows * k <= _CHUNK_BITS:
-            slots <<= k
-        for start in range(0, n, slots):
-            end = n - start  # member ``start`` is character ``end - 1``
-            lacks = tuple(_slot_bits(e[max(end - slots, 0) : end], k) for e in lack)
-            yield FrameChunk(k, slots, min(slots, end), lacks)
+    """Every ``k``-state member of ``fc`` (labeled, not reduced) in
+    ascending mask order, packed by ``_pack``."""
+    for _, lack in _blocks(fc, k):
+        yield from _pack(k, lack, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +556,11 @@ def _search(
     query: str,
     aux: bool = False,
 ) -> VerdictReport:
+    """The least falsifying (frame, valuation, state) of ``f`` on the
+    class, evaluating only the canonical members of each size.  The
+    counts are those of a scan of every labeled member: with no witness,
+    all members; with one of ``k`` states, the members of fewer states
+    and the ``k``-state members at or below its mask."""
     needed = atoms_of(f)
     missing = needed - set(budget.atoms)
     if missing:
@@ -488,25 +570,36 @@ def _search(
     models_examined = 0
     for k in range(1, budget.max_states + 1):
         valuations = 1 << (k * len(val_atoms))
-        for chunk in _class_chunks(fc, k, valuations):
-            ev = FrameEvaluator(chunk, val_atoms, aux=aux)
-            row = ev.least_row(ev.full ^ ev.columns(f))
-            seen = chunk.live if row is None else row[0] % chunk.slots + 1
-            frames_examined += seen
-            models_examined += seen * valuations
-            if row is None:
-                continue
-            model, state = ev.witness(row)
-            check = (
-                semantics.evaluate_aux if aux else semantics.evaluate
-            )(model, state, f)
-            if check:  # pragma: no cover - internal consistency guard
-                raise RuntimeError(
-                    "search produced a witness the reference evaluator rejects"
+        seen = 0  # labeled members of size k, as a scan of every member counts them
+        for members, lack in _blocks(fc, k, canonical=True):
+            for chunk in _pack(k, lack, valuations):
+                ev = FrameEvaluator(chunk, val_atoms, aux=aux)
+                row = ev.least_row(ev.full ^ ev.columns(f))
+                if row is None:
+                    continue
+                # Relabelling keeps both the class and the verdict, so the
+                # least member with a countermodel is canonical: the scan
+                # would stop here, after the members at or below its mask.
+                low = chunk.mask(row[0] % chunk.slots) & ((1 << _BLOCK_BITS) - 1)
+                seen += members.bit_count() - (members >> (low + 1)).bit_count()
+                model, state = ev.witness(row)
+                check = (
+                    semantics.evaluate_aux if aux else semantics.evaluate
+                )(model, state, f)
+                if check:  # pragma: no cover - internal consistency guard
+                    raise RuntimeError(
+                        "search produced a witness the reference evaluator rejects"
+                    )
+                return VerdictReport(
+                    query,
+                    COUNTERMODEL,
+                    (model, state),
+                    frames_examined + seen,
+                    models_examined + seen * valuations,
                 )
-            return VerdictReport(
-                query, COUNTERMODEL, (model, state), frames_examined, models_examined
-            )
+            seen += members.bit_count()
+        frames_examined += seen
+        models_examined += seen * valuations
     return VerdictReport(query, NO_COUNTERMODEL, None, frames_examined, models_examined)
 
 
@@ -572,10 +665,15 @@ def enumerate_formulas(
     modalities: Sequence[str] = ("W",),
 ) -> tuple[Formula, ...]:
     """Deterministic corpus: by size, then lexicographic on printed form."""
-    pool = _pool(tuple(atoms), max_size, tuple(modalities))
-    return tuple(
-        f for bucket in pool for f in bucket if modal_depth(f) <= max_modal_depth
-    )
+    return _corpus(tuple(atoms), max_modal_depth, max_size, tuple(modalities))
+
+
+@lru_cache(maxsize=64)
+def _corpus(
+    atoms: tuple[str, ...], max_modal_depth: int, max_size: int, modalities: tuple[str, ...]
+) -> tuple[Formula, ...]:
+    pool = _pool(atoms, max_size, modalities)
+    return tuple(f for bucket in pool for f in bucket if modal_depth(f) <= max_modal_depth)
 
 
 def corpus_for(budget: SearchBudget, modalities: Sequence[str] = ("W",)) -> tuple[Formula, ...]:

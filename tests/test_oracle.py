@@ -1,5 +1,5 @@
 from contextlib import contextmanager
-from itertools import islice
+from itertools import islice, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,7 @@ from doxa.oracle import (
     wrong_false_at_reflexive,
 )
 from doxa.semantics import (
+    ALL_FRAMES,
     PROPERTIES,
     VIOLATIONS,
     Frame,
@@ -632,3 +633,151 @@ def test_witnesses_in_later_and_padded_chunks(monkeypatch):
     last = FrameEvaluator(list(oracle._class_chunks(functional, 2, 4))[-1], ("p",))
     f = parse("B p | B ~p")
     assert last.columns(f) != last.full and last.valid(f)
+
+
+# --- the isomorphism-reduced search -----------------------------------------
+
+
+def _relabel(k, perm, mask):
+    """The mask of frame ``mask`` with each state ``i`` renamed ``perm[i]``."""
+    return sum(1 << (perm[e // k] * k + perm[e % k]) for e in range(k * k) if mask >> e & 1)
+
+
+_RELABEL_SAMPLES = [(k, range(1 << (k * k))) for k in (1, 2, 3)] + [(4, range(5, 1 << 16, 61))]
+
+
+def test_class_circuits_are_closed_under_relabelling():
+    # The reduction rests on this: a class holds a frame iff it holds
+    # every frame isomorphic to it.
+    for k, masks in _RELABEL_SAMPLES:
+        masks = list(masks)
+        full = (1 << len(masks)) - 1
+        x = _edge_columns(k, masks)
+        for perm in permutations(range(k)):
+            y = _edge_columns(k, [_relabel(k, perm, m) for m in masks])
+            for p in VIOLATIONS:
+                fc = FrameClass(frozenset([p]))
+                assert fc.members(x, full) == fc.members(y, full), (k, perm, p)
+
+
+def test_canonical_circuit_keeps_the_least_mask_of_each_isomorphism_class():
+    # One frame per isomorphism class: OEIS A000595.
+    for k, classes in zip((1, 2, 3, 4), (2, 10, 104, 3044)):
+        size = 1 << (k * k)
+        has = [atom_column(e, 1, size) for e in range(k * k)]
+        assert oracle._canonical(k, has, (1 << size) - 1).bit_count() == classes
+    for k, masks in _RELABEL_SAMPLES:
+        masks = list(masks)
+        has = [col for row in _edge_columns(k, masks) for col in row]
+        got = oracle._canonical(k, has, (1 << len(masks)) - 1)
+        perms = list(permutations(range(k)))
+        least = [min(_relabel(k, perm, m) for perm in perms) for m in masks]
+        assert got == sum(1 << n for n, m in enumerate(masks) if least[n] == m), k
+    # The first 5-state block (masks below 2^16) as the search packs it.
+    # Each row of 5 edge bits is relabelled by a table; below 2^16, row 3
+    # holds at most bit 15 and row 4 nothing.
+    members, lack = next(oracle._class_blocks(ALL_FRAMES, 5, canonical=True))
+    assert members == (1 << (1 << 16)) - 1
+    got = [sum(1 << e for e, d in enumerate(lack) if d[-1 - t] == "0") for t in range(len(lack[0]))]
+    least = list(range(1 << 16))
+    for perm in permutations(range(5)):
+        t0, t1, t2, t3 = (
+            [_relabel(5, perm, bits << (5 * i)) for bits in range(32 if i < 3 else 2)] for i in range(4)
+        )
+        least = list(map(min, least, (a | b | c | d for d in t3 for c in t2 for b in t1 for a in t0)))
+    assert got == [m for m, low in enumerate(least) if low == m]
+
+
+def test_reduced_search_streams_five_state_blocks_without_canonical_frames():
+    # Symmetric relations up to isomorphism: 2, 6, 20, 90, 544 (OEIS
+    # A000666).  At 5 states most blocks with members hold no canonical
+    # frame, yet the search counts their members.
+    symmetric = frame_class("symmetric")
+    for k, classes in zip(range(1, 6), (2, 6, 20, 90, 544)):
+        blocks = list(oracle._class_blocks(symmetric, k, canonical=True))
+        assert sum(len(lack[0]) for _, lack in blocks) == classes
+    assert sum(not lack[0] for _, lack in blocks) > 0
+    report = valid_on(parse("B T"), symmetric, SearchBudget(max_states=5))
+    assert (report.verdict, report.frames_examined) == (NO_COUNTERMODEL, 2 + 8 + 64 + 1024 + 32768)
+
+
+# The paper's axioms on the frame classes of the 4-state search table.
+_PAPER_AXIOMS = (
+    "W p -> ~p",
+    "W p & W q -> W (p & q)",
+    "~W F",
+    "~W p",
+    "W q & W (p & q) -> W ((W r -> W (p & r)) & q)",
+    "W q & ~W (p & q) -> W ((W r -> ~W (p & r)) & q)",
+    "W q & ~p -> W ((W r -> ~W (p & r)) & q)",
+    "W q -> W ((W r -> W (p & r)) & q)",
+    "W p -> W (~W q & p)",
+    "IR p <-> IR ~p",
+    "IR p & ~p & IR q & ~q -> IR (p & q)",
+    "~IR F",
+    "IR q & ~q & (IR (p & q) & ~(p & q)) -> IR ((IR r & ~r -> IR (p & r) & ~(p & r)) & q)"
+    " & ~((IR r & ~r -> IR (p & r) & ~(p & r)) & q)",
+    "W q -> (B p <-> W (p & q))",
+)
+_TABLE_CLASSES = (
+    "all", "serial", "reflexive", "transitive", "euclidean", "symmetric",
+    "serial+transitive", "serial+euclidean",
+)
+
+
+def _labeled_search(f, fc, budget):
+    """The search over every labeled class member, chunk by chunk, as
+    ``_summary`` gives it: the reference for the reduced search."""
+    atoms = tuple(a for a in budget.atoms if a in atoms_of(f))
+    frames = models = 0
+    for k in range(1, budget.max_states + 1):
+        valuations = 1 << (k * len(atoms))
+        for chunk in oracle._class_chunks(fc, k, valuations):
+            ev = FrameEvaluator(chunk, atoms)
+            row = ev.least_row(ev.full ^ ev.columns(f))
+            seen = chunk.live if row is None else row[0] % chunk.slots + 1
+            frames += seen
+            models += seen * valuations
+            if row is not None:
+                model, state = ev.witness(row)
+                return COUNTERMODEL, frames, models, dump_model(model), state
+    return NO_COUNTERMODEL, frames, models, None, None
+
+
+def test_reduced_search_matches_the_labeled_search_at_four_states():
+    budget = SearchBudget(max_states=4)
+    cases = [(parse(text), frame_class(c)) for text in _PAPER_AXIOMS for c in _TABLE_CLASSES]
+    # The labeled reference does not depend on the chunk size (see the
+    # per-frame tests above), so it runs once.
+    want = [_labeled_search(f, fc, budget) for f, fc in cases]
+    assert sum(w[0] == COUNTERMODEL for w in want) == 40
+    for bits in (oracle._CHUNK_BITS, 4096):
+        with _chunk_budget(bits):
+            got = [_summary(valid_on(f, fc, budget)) for f, fc in cases]
+        assert got == want, bits
+
+
+def test_canonical_witnesses_in_later_and_padded_chunks(monkeypatch):
+    # 2-state frames over one atom come 4 to a chunk, and the search packs
+    # the 10 canonical masks: 0 1 2 3 | 5 6 7 9 | 11 15 + 2 padding slots.
+    # Masks 4, 8, 10, 12, 13 and 14 are relabellings of smaller ones.
+    monkeypatch.setattr(oracle, "_CHUNK_BITS", 64)
+    budget = SearchBudget(max_states=2, atoms=("p",))
+    (members, lack), = oracle._blocks(ALL_FRAMES, 2, canonical=True)
+    chunks = list(oracle._pack(2, lack, 4))
+    assert [[c.mask(t) for t in range(c.live)] for c in chunks] == [[0, 1, 2, 3], [5, 6, 7, 9], [11, 15]]
+    cases = [
+        # Slot 1 of the second chunk; the scan also visits masks 0 to 5,
+        # the non-canonical 4 among them, after the 2 one-state frames.
+        ("B ~W B p", 6, 2 + 7),
+        # Slot 1 of the padded last chunk, after every 2-state frame.
+        ("B p | B ~p | ~B ~(B p | B ~p)", 15, 2 + 16),
+        # Slot 3 of the first chunk: no non-canonical mask lies below it.
+        ("B B ~IR p", 3, 2 + 4),
+    ]
+    for text, mask, frames in cases:
+        f = parse(text)
+        report = valid_on(f, ALL_FRAMES, budget)
+        assert _summary(report) == _brute_search(f, ALL_FRAMES, budget, aux=False)
+        assert report.witness[0].frame == frame_of_mask(2, mask)
+        assert (report.frames_examined, report.models_examined) == (frames, 2 * 2 + (frames - 2) * 4)
