@@ -57,7 +57,7 @@ def _budget(args, atoms: tuple[str, ...] = ("p", "q", "r")) -> SearchBudget:
     no frames, so it keeps the default state bound.
     """
     try:
-        if getattr(args, "atoms", None):
+        if getattr(args, "atoms", None) is not None:
             atoms = tuple(Atom(a.strip()).name for a in args.atoms.split(","))
         return SearchBudget(
             max_states=_max_states(args) if "max_states" in args else SearchBudget.max_states,
@@ -232,6 +232,8 @@ def cmd_transform(args) -> int:
 def cmd_verify_paper(args) -> int:
     max_states = _max_states(args)
     results = registry.run_checks(max_states=max_states, pattern=args.filter)
+    if not results:
+        raise UsageError(f"--filter {args.filter!r} matches no check")
     if args.format == "json":
         print(
             json.dumps(

@@ -6,6 +6,9 @@ rules MP, R1, RI-R, REW.  Checking is purely syntactic: a schema
 instance must match by uniform substitution, a rule application must
 have the exact required shape.  Multi-step propositional reasoning must
 therefore be expanded into explicit tautology + MP lines.
+
+One builder writes the witnesses of the n-indexed conjunction rules of
+KW and KRI: the IR rule is the W rule with ``W h`` read as ``IR h & ~h``.
 """
 
 from __future__ import annotations
@@ -455,6 +458,8 @@ def parse_proof_script(text: str) -> Proof:
         if not stripped or stripped.startswith("#"):
             continue
         if stripped.startswith("system:"):
+            if system is not None:
+                raise ProofScriptError("repeated 'system:' header", line_no)
             name = stripped[len("system:"):].strip()
             if name not in SYSTEMS:
                 raise ProofScriptError(f"unknown system {name!r}", line_no)
@@ -505,18 +510,21 @@ class _Builder:
     def taut(self, f: Formula) -> int:
         return self._add(f, ByTaut())
 
-    def axiom(self, name: str, f: Formula) -> int:
-        return self._add(f, ByAxiom(name))
+    def axiom(self, name: str, subst: dict[str, Formula]) -> int:
+        return self._add(substitute(SCHEMAS[name].template, subst), ByAxiom(name))
 
     def mp(self, antecedent: int, implication: int) -> int:
         imp = self.lines[implication - 1].formula
         assert isinstance(imp, Imp)
         return self._add(imp.right, ByMP(antecedent, implication))
 
-    def rule(self, ctor: type, source: int, pick: int = 0) -> int:
-        """The ``pick``-th line that ``RULES[ctor]`` licenses from ``source``."""
+    def rule(self, ctor: type, source: int, modality: type | None = None) -> int:
+        """The first line that ``RULES[ctor]`` licenses from ``source``, or
+        the one with ``modality`` on its left side."""
         conclusions = RULES[ctor].conclusions(self.lines[source - 1].formula)
-        return self._add(conclusions[pick], ctor(source))
+        if modality is not None:
+            conclusions = [f for f in conclusions if isinstance(f.left, modality)]
+        return self._add(conclusions[0], ctor(source))
 
     def chain(self, sources: Sequence[int], target: Formula) -> int:
         """Close over earlier lines propositionally: one taut line + MPs."""
@@ -546,142 +554,90 @@ class DerivedRule:
     witness: Proof
 
 
-def conjunction_rule_w(n: int) -> DerivedRule:
-    """From c1 & ... & cn -> f derive W(c1 & g) & ... & W(cn & g) & ~f -> W f.
+@dataclass(frozen=True)
+class _Logic:
+    """A logic as the conjunction rule reads it: ``wrong(h)`` lists the
+    conjuncts of "h is wrongly believed", ``goal(f, ant)`` is the rule's
+    conclusion (``rule`` licenses ``goal(f, wrong(c))`` from ``c -> f``)
+    and ``join`` the axiom that joins two wrong beliefs."""
 
-    The witness instantiates the metavariables with fresh atoms and
-    replays the grouping argument concretely (A2 plus REW per step).
-    """
+    system: str
+    rule: type
+    join: str
+    modality: type
+    wrong: Callable[[Formula], list[Formula]]
+    goal: Callable[[Formula, list[Formula]], Formula]
+
+
+_LOGICS = {
+    "W": _Logic(
+        "KW", ByR1, "A2", W,
+        lambda h: [W(h)],
+        lambda f, ant: Imp(_conj(ant + [Not(f)]), W(f)),
+    ),
+    "IR": _Logic(
+        "KRI", ByRIR, "RI-Con", IR,
+        lambda h: [IR(h), Not(h)],
+        lambda f, ant: Imp(_conj(ant), Or(IR(f), f)) if ant else Or(IR(f), f),
+    ),
+}
+
+
+def _conjunction_rule(logic: _Logic, n: int) -> DerivedRule:
+    """From c1 & ... & cn -> f derive goal(f, wrong(c1 & g) + ... + wrong(cn & g)).
+
+    The witness replays the argument on fresh atoms: ``rule`` gives
+    goal(f, wrong(C & g)) for C = c1 & ... & cn, and each grouping step joins
+    wrong(D & g) and wrong(x & g) into wrong(D & x & g) by ``join`` and REW."""
     if not 0 <= n <= 3:
         raise ValueError("witnesses are built for n between 0 and 3")
-    chis = [Atom(x) for x in ("a", "b", "c")[:n]]
-    phi, psi = Atom("p"), Atom("q")
-    meta_chis = [Atom(x) for x in ("chi1", "chi2", "chi3")[:n]]
-    meta_phi, meta_psi = Atom("phi"), Atom("psi")
 
+    def rule_formulas(cs: list[Formula], f: Formula, g: Formula) -> tuple[Formula, Formula]:
+        premise = Imp(_conj(cs), f) if cs else f
+        return premise, logic.goal(f, [w for x in cs for w in logic.wrong(And(x, g))])
+
+    meta_premise, meta_conclusion = rule_formulas(
+        [Atom(x) for x in ("chi1", "chi2", "chi3")[:n]], Atom("phi"), Atom("psi")
+    )
+    chis, phi, psi = [Atom(x) for x in ("a", "b", "c")[:n]], Atom("p"), Atom("q")
+    premise, conclusion = rule_formulas(chis, phi, psi)
+    b = _Builder(SYSTEMS[logic.system], (premise,))
+    l1 = b.premise(premise)
     if n == 0:
-        premise_t = Schema("rule-premise", meta_phi)
-        conclusion_t = Schema("rule-conclusion", Imp(Not(meta_phi), W(meta_phi)))
-        b = _Builder(SYSTEMS["KW"], (phi,))
-        l1 = b.premise(phi)
-        b.chain([l1], Imp(Not(phi), W(phi)))
-        return DerivedRule((premise_t,), conclusion_t, b.proof())
+        b.chain([l1], conclusion)
+    else:
+        c = _conj(chis)
+        l2 = b.rule(logic.rule, l1)  # goal(f, wrong(C))
+        l4 = b.rule(logic.rule, b.taut(Imp(And(c, psi), c)))  # goal(C, wrong(C & g))
+        core = b.chain([l1, l2, l4], logic.goal(phi, logic.wrong(And(c, psi))))
+        # Grouping: from wrong(c1 & g), ..., wrong(cn & g) reach wrong(C & g) stepwise.
+        prefix, ant = chis[0], logic.wrong(And(chis[0], psi))
+        grouped: int | None = None  # line for ant -> wrong(prefix & g)
+        for x in chis[1:]:
+            px, xx, bigger = And(prefix, psi), And(x, psi), And(prefix, x)
+            join = b.axiom(logic.join, {"phi": px, "psi": xx})
+            flat = b.taut(Iff(And(px, xx), And(bigger, psi)))
+            rew = b.rule(ByREW, flat, logic.modality)
+            # The witnesses also cite flat once per conjunct of wrong(h) past the
+            # first: for IR, the step to ~(bigger & g), which ~px alone implies.
+            sources = [join, rew] + [flat] * (len(logic.wrong(psi)) - 1)
+            joined = _conj(logic.wrong(And(bigger, psi)))
+            step = b.chain(sources, Imp(_conj(logic.wrong(px) + logic.wrong(xx)), joined))
+            ant += logic.wrong(xx)
+            grouped = step if grouped is None else b.chain([grouped, step], Imp(_conj(ant), joined))
+            prefix = bigger
+        if grouped is not None:
+            b.chain([grouped, core], logic.goal(phi, [_conj(ant)]))
+    premises = (Schema("rule-premise", meta_premise),)
+    return DerivedRule(premises, Schema("rule-conclusion", meta_conclusion), b.proof())
 
-    meta_c = _conj(meta_chis)
-    premise_t = Schema("rule-premise", Imp(meta_c, meta_phi))
-    meta_ant = _conj([W(And(x, meta_psi)) for x in meta_chis] + [Not(meta_phi)])
-    conclusion_t = Schema("rule-conclusion", Imp(meta_ant, W(meta_phi)))
 
-    c = _conj(chis)
-    b = _Builder(SYSTEMS["KW"], (Imp(c, phi),))
-    l1 = b.premise(Imp(c, phi))
-    l2 = b.rule(ByR1, l1)  # W C & ~f -> W f
-    l3 = b.taut(Imp(And(c, psi), c))
-    l4 = b.rule(ByR1, l3)  # W (C & g) & ~C -> W C
-    core_target = Imp(And(W(And(c, psi)), Not(phi)), W(phi))
-    core = b.chain([l1, l2, l4], core_target)
-    if n == 1:
-        return DerivedRule((premise_t,), conclusion_t, b.proof())
-
-    # Grouping: from W(c1 & g), ..., W(cn & g) reach W(C & g) stepwise.
-    prefix = chis[0]
-    grouped_src: int | None = None  # line for Ant_k -> W(D_k & g)
-    ant = W(And(chis[0], psi))
-    for x in chis[1:]:
-        bigger = And(prefix, x)
-        a2 = b.axiom(
-            "A2",
-            Imp(
-                And(W(And(prefix, psi)), W(And(x, psi))),
-                W(And(And(prefix, psi), And(x, psi))),
-            ),
-        )
-        flat = b.taut(Iff(And(And(prefix, psi), And(x, psi)), And(bigger, psi)))
-        rew = b.rule(ByREW, flat, 0)  # the W conclusion
-        step_target = Imp(And(W(And(prefix, psi)), W(And(x, psi))), W(And(bigger, psi)))
-        step = b.chain([a2, rew], step_target)
-        new_ant = And(ant, W(And(x, psi)))
-        if grouped_src is None:
-            grouped_src = step
-        else:
-            grouped_src = b.chain(
-                [grouped_src, step], Imp(new_ant, W(And(bigger, psi)))
-            )
-        ant = new_ant
-        prefix = bigger
-    b.chain([grouped_src, core], Imp(And(ant, Not(phi)), W(phi)))
-    return DerivedRule((premise_t,), conclusion_t, b.proof())
+def conjunction_rule_w(n: int) -> DerivedRule:
+    """From c1 & ... & cn -> f derive W(c1 & g) & ... & W(cn & g) & ~f -> W f."""
+    return _conjunction_rule(_LOGICS["W"], n)
 
 
 def conjunction_rule_ri(n: int) -> DerivedRule:
-    """The IR analogue: from c1 & ... & cn -> f derive
+    """The W rule with W h read as IR h & ~h: from c1 & ... & cn -> f derive
     IR(c1 & g) & ~(c1 & g) & ... & ~(cn & g) -> IR f | f."""
-    if not 0 <= n <= 3:
-        raise ValueError("witnesses are built for n between 0 and 3")
-    chis = [Atom(x) for x in ("a", "b", "c")[:n]]
-    phi, psi = Atom("p"), Atom("q")
-    meta_chis = [Atom(x) for x in ("chi1", "chi2", "chi3")[:n]]
-    meta_phi, meta_psi = Atom("phi"), Atom("psi")
-
-    def wrongish(g: Formula) -> list[Formula]:
-        return [IR(g), Not(g)]
-
-    if n == 0:
-        premise_t = Schema("rule-premise", meta_phi)
-        conclusion_t = Schema("rule-conclusion", Or(IR(meta_phi), meta_phi))
-        b = _Builder(SYSTEMS["KRI"], (phi,))
-        l1 = b.premise(phi)
-        b.chain([l1], Or(IR(phi), phi))
-        return DerivedRule((premise_t,), conclusion_t, b.proof())
-
-    meta_c = _conj(meta_chis)
-    premise_t = Schema("rule-premise", Imp(meta_c, meta_phi))
-    meta_ant_parts: list[Formula] = []
-    for x in meta_chis:
-        meta_ant_parts += [IR(And(x, meta_psi)), Not(And(x, meta_psi))]
-    conclusion_t = Schema(
-        "rule-conclusion", Imp(_conj(meta_ant_parts), Or(IR(meta_phi), meta_phi))
-    )
-
-    c = _conj(chis)
-    b = _Builder(SYSTEMS["KRI"], (Imp(c, phi),))
-    l1 = b.premise(Imp(c, phi))
-    l2 = b.rule(ByRIR, l1)  # IR C & ~C -> IR f | f
-    l3 = b.taut(Imp(And(c, psi), c))
-    l4 = b.rule(ByRIR, l3)  # IR (C & g) & ~(C & g) -> IR C | C
-    core_target = Imp(
-        And(IR(And(c, psi)), Not(And(c, psi))), Or(IR(phi), phi)
-    )
-    core = b.chain([l1, l2, l4], core_target)
-    if n == 1:
-        return DerivedRule((premise_t,), conclusion_t, b.proof())
-
-    prefix = chis[0]
-    grouped_src: int | None = None  # Ant_k -> IR(D_k & g) & ~(D_k & g)
-    ant = _conj(wrongish(And(chis[0], psi)))
-    for x in chis[1:]:
-        bigger = And(prefix, x)
-        px, xx = And(prefix, psi), And(x, psi)
-        ricon = b.axiom(
-            "RI-Con",
-            Imp(_conj([IR(px), Not(px), IR(xx), Not(xx)]), IR(And(px, xx))),
-        )
-        flat = b.taut(Iff(And(px, xx), And(bigger, psi)))
-        rew = b.rule(ByREW, flat, 1)  # the IR conclusion
-        pair_ant = _conj([IR(px), Not(px), IR(xx), Not(xx)])
-        step_target = Imp(
-            pair_ant, _conj(wrongish(And(bigger, psi)))
-        )
-        step = b.chain([ricon, rew, flat], step_target)
-        new_ant = _conj([ant, IR(xx), Not(xx)])
-        if grouped_src is None:
-            grouped_src = step
-        else:
-            grouped_src = b.chain(
-                [grouped_src, step],
-                Imp(new_ant, _conj(wrongish(And(bigger, psi)))),
-            )
-        ant = new_ant
-        prefix = bigger
-    b.chain([grouped_src, core], Imp(ant, Or(IR(phi), phi)))
-    return DerivedRule((premise_t,), conclusion_t, b.proof())
+    return _conjunction_rule(_LOGICS["IR"], n)

@@ -81,9 +81,9 @@ _ONE_ATOM = SearchBudget(atoms=("p",))
 
 
 def _bounded_valid(
-    check_id: str, formula_text: str | Formula, class_expr: str = "all", aux: bool = False
+    check_id: str, formula: str | Formula, class_expr: str = "all", aux: bool = False
 ) -> PaperCheck:
-    formula = parse(formula_text) if isinstance(formula_text, str) else formula_text
+    formula = parse(formula) if isinstance(formula, str) else formula
     fc = frame_class(class_expr)
     prefix = "aux " if aux else ""
 
@@ -100,9 +100,9 @@ def _bounded_valid(
 
 
 def _countermodel_exists(
-    check_id: str, formula_text: str, class_expr: str, min_states: int, aux: bool = False
+    check_id: str, formula: str | Formula, class_expr: str, min_states: int, aux: bool = False
 ) -> PaperCheck:
-    formula = parse(formula_text)
+    formula = parse(formula) if isinstance(formula, str) else formula
     fc = frame_class(class_expr)
 
     def run(max_states: int) -> CheckOutcome:
@@ -185,15 +185,19 @@ def _mutation_sweep(_max_states: int) -> CheckOutcome:
     return _outcome(False, f"only {rejected} of {total} corruptions rejected")
 
 
-def _derived_rule_outcome(builder: Callable[[int], hilbert.DerivedRule]) -> CheckOutcome:
-    for n in range(4):
-        rule = builder(n)
-        result = hilbert.check_derived_rule(
-            rule.witness.system, rule.premises, rule.conclusion, rule.witness
-        )
-        if not result.accepted:
-            return _outcome(False, f"n={n} witness rejected at line {result.line}: {result.reason}")
-    return _outcome(True, "witnesses for n in 0..3 accepted")
+def _derived_rule_check(kind: str) -> PaperCheck:
+    def run(_max_states: int) -> CheckOutcome:
+        builder = getattr(hilbert, f"conjunction_rule_{kind}")
+        for n in range(4):
+            rule = builder(n)
+            result = hilbert.check_derived_rule(
+                rule.witness.system, rule.premises, rule.conclusion, rule.witness
+            )
+            if not result.accepted:
+                return _outcome(False, f"n={n} witness rejected at line {result.line}: {result.reason}")
+        return _outcome(True, "witnesses for n in 0..3 accepted")
+
+    return PaperCheck(f"derived-rule-{kind}-conjunctions", "proof", run)
 
 
 def _w_agreement(_max_states: int) -> CheckOutcome:
@@ -243,36 +247,35 @@ def _gap_check(prop: str) -> PaperCheck:
 # ---------------------------------------------------------------------------
 # The registry
 
-_A4 = "W q & W (p & q) -> W ((W r -> W (p & r)) & q)"
-_A5 = "W q & ~W (p & q) -> W ((W r -> ~W (p & r)) & q)"
-_AB = "W q & ~p -> W ((W r -> ~W (p & r)) & q)"
+
+def _axiom(name: str) -> Formula:
+    """The ``hilbert.SCHEMAS`` instance of an axiom over p, q and r."""
+    pqr = {"phi": Atom("p"), "psi": Atom("q"), "chi": Atom("r")}
+    return substitute(hilbert.SCHEMAS[name].template, pqr)
+
+
 # A4 without its second guard W (p & q).
 _STRONGER_A4 = "W q -> W ((W r -> W (p & r)) & q)"
 _AQ = "W p -> W (~W q & p)"
-_RI_CON = "IR p & ~p & IR q & ~q -> IR (p & q)"
-_RI_4 = substitute(
-    hilbert.SCHEMAS["RI-4"].template,
-    {"phi": Atom("p"), "psi": Atom("q"), "chi": Atom("r")},
-)
 
 
 @cache
 def all_checks() -> tuple[PaperCheck, ...]:
     checks: list[PaperCheck] = [
         # Soundness battery: each axiom on its frame class.
-        _bounded_valid("a1-sound-all", "W p -> ~p"),
-        _bounded_valid("a2-sound-all", "W p & W q -> W (p & q)"),
-        _bounded_valid("ad-sound-serial", "~W F", "serial"),
-        _bounded_valid("at-sound-reflexive", "~W p", "reflexive"),
-        _bounded_valid("a4-sound-transitive", _A4, "transitive"),
-        _bounded_valid("a5-sound-euclidean", _A5, "euclidean"),
-        _bounded_valid("a4-sound-euclidean", _A4, "euclidean"),
+        _bounded_valid("a1-sound-all", _axiom("A1")),
+        _bounded_valid("a2-sound-all", _axiom("A2")),
+        _bounded_valid("ad-sound-serial", _axiom("AD"), "serial"),
+        _bounded_valid("at-sound-reflexive", _axiom("AT"), "reflexive"),
+        _bounded_valid("a4-sound-transitive", _axiom("A4"), "transitive"),
+        _bounded_valid("a5-sound-euclidean", _axiom("A5"), "euclidean"),
+        _bounded_valid("a4-sound-euclidean", _axiom("A4"), "euclidean"),
         _bounded_valid("stronger-a4-sound-euclidean", _STRONGER_A4, "euclidean"),
-        _bounded_valid("ab-sound-symmetric", _AB, "symmetric"),
-        _bounded_valid("ri-equ-sound-all", "IR p <-> IR ~p"),
-        _bounded_valid("ri-con-sound-all", _RI_CON),
-        _bounded_valid("ri-d-sound-serial-transitive", "~IR F", "serial+transitive"),
-        _bounded_valid("ri-4-sound-serial-transitive", _RI_4, "serial+transitive"),
+        _bounded_valid("ab-sound-symmetric", _axiom("AB"), "symmetric"),
+        _bounded_valid("ri-equ-sound-all", _axiom("RI-Equ")),
+        _bounded_valid("ri-con-sound-all", _axiom("RI-Con")),
+        _bounded_valid("ri-d-sound-serial-transitive", _axiom("RI-D"), "serial+transitive"),
+        _bounded_valid("ri-4-sound-serial-transitive", _axiom("RI-4"), "serial+transitive"),
         # The guarded definability of the box: under W q, B is expressible through W.
         _bounded_valid("almost-definability", "W q -> (B p <-> W (p & q))"),
         # Interdefinability of W and IR.
@@ -284,14 +287,14 @@ def all_checks() -> tuple[PaperCheck, ...]:
         ),
         # Strictness battery: these need countermodels.
         _countermodel_exists("stronger-a4-invalid-transitive", _STRONGER_A4, "transitive", 3),
-        _countermodel_exists("ad-invalid-all", "~W F", "all", 1),
-        _countermodel_exists("at-invalid-all", "~W p", "all", 1),
+        _countermodel_exists("ad-invalid-all", _axiom("AD"), "all", 1),
+        _countermodel_exists("at-invalid-all", _axiom("AT"), "all", 1),
         # AQ needs Euclideanness.
         _countermodel_exists("aq-invalid-all", _AQ, "all", 2),
         # Auxiliary semantics, IR g read as g: the incompleteness witness, then
         # RI-Con, tautology instances and samples derived by the IR rule.
-        _countermodel_exists("aux-ri-equ-invalid", "IR p <-> IR ~p", "all", 1, aux=True),
-        _bounded_valid("aux-ri-con-valid", _RI_CON, aux=True),
+        _countermodel_exists("aux-ri-equ-invalid", _axiom("RI-Equ"), "all", 1, aux=True),
+        _bounded_valid("aux-ri-con-valid", _axiom("RI-Con"), aux=True),
         _bounded_valid("aux-a0-valid", "(IR p & ~p -> IR p) & (IR p | ~IR p)", aux=True),
         _bounded_valid(
             "aux-derived-rules-valid",
@@ -330,16 +333,8 @@ def all_checks() -> tuple[PaperCheck, ...]:
         _proof_check("proof-k5w-aq", "k5w_aq.proof"),
         _proof_check("proof-kri-conjunct-weakening", "kri_conjunct_weakening.proof"),
         # The n-indexed conjunction rules in KW and KRI.
-        PaperCheck(
-            "derived-rule-w-conjunctions",
-            "proof",
-            lambda n: _derived_rule_outcome(hilbert.conjunction_rule_w),
-        ),
-        PaperCheck(
-            "derived-rule-ri-conjunctions",
-            "proof",
-            lambda n: _derived_rule_outcome(hilbert.conjunction_rule_ri),
-        ),
+        _derived_rule_check("w"),
+        _derived_rule_check("ri"),
         PaperCheck("proof-mutation-sweep", "proof", _mutation_sweep),
     ]
     ids = [c.id for c in checks]

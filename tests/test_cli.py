@@ -307,6 +307,7 @@ _BAD_ATOM_LISTS = {
     "p,,q": "invalid atom name",
     "p,Q": "invalid atom name",
     "p,p": "duplicate atom name",
+    "": "invalid atom name",
 }
 
 
@@ -424,3 +425,10 @@ def test_verify_paper_reports_a_failing_check(capsys, monkeypatch, fmt):
         assert json.loads(out) == [
             {"id": "proof-kw-conjunct-weakening", "kind": "proof", "status": "fail", "detail": detail}
         ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_paper_filter_matching_no_check_is_a_usage_error(capsys, fmt):
+    code, out, err = run(capsys, "verify-paper", "--filter", "no-such-check*", "--format", fmt)
+    assert _usage_error(code, err) and out == ""
+    assert err == "error: --filter 'no-such-check*' matches no check\n"

@@ -268,6 +268,9 @@ def test_script_errors_carry_line_numbers():
         parse_proof_script("1. p ; taut\n")  # no system header
     with pytest.raises(ProofScriptError):
         parse_proof_script("system: KW\n1. p ; because\n")
+    with pytest.raises(ProofScriptError, match="repeated 'system:' header") as exc:
+        parse_proof_script("system: KW\nsystem: KRI\n1. p -> p ; taut\n")
+    assert exc.value.line_no == 2
     for extra in ("taut because I say so", "premise x"):
         with pytest.raises(ProofScriptError, match="takes no arguments") as exc:
             parse_proof_script(f"system: KW\npremise: p\n1. p -> p ; {extra}\n")
@@ -429,6 +432,37 @@ WITNESS_SCRIPTS = Path(__file__).parent.parent / "perfbench" / "golden" / "witne
 def test_built_witnesses_match_the_committed_scripts(kind, builder, n):
     script = (WITNESS_SCRIPTS / f"{kind}_conjunction_rule_n{n}.proof").read_text()
     assert builder(n).witness == parse_proof_script(script)
+
+
+RULE_TEMPLATES = {
+    ("w", 0): ("phi", "~phi -> W phi"),
+    ("w", 1): ("chi1 -> phi", "W (chi1 & psi) & ~phi -> W phi"),
+    ("w", 2): ("chi1 & chi2 -> phi", "W (chi1 & psi) & W (chi2 & psi) & ~phi -> W phi"),
+    ("w", 3): (
+        "chi1 & chi2 & chi3 -> phi",
+        "W (chi1 & psi) & W (chi2 & psi) & W (chi3 & psi) & ~phi -> W phi",
+    ),
+    ("ri", 0): ("phi", "IR phi | phi"),
+    ("ri", 1): ("chi1 -> phi", "IR (chi1 & psi) & ~(chi1 & psi) -> IR phi | phi"),
+    ("ri", 2): (
+        "chi1 & chi2 -> phi",
+        "IR (chi1 & psi) & ~(chi1 & psi) & IR (chi2 & psi) & ~(chi2 & psi) -> IR phi | phi",
+    ),
+    ("ri", 3): (
+        "chi1 & chi2 & chi3 -> phi",
+        "IR (chi1 & psi) & ~(chi1 & psi) & IR (chi2 & psi) & ~(chi2 & psi)"
+        " & IR (chi3 & psi) & ~(chi3 & psi) -> IR phi | phi",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind, builder", [("w", conjunction_rule_w), ("ri", conjunction_rule_ri)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_built_rule_templates(kind, builder, n):
+    premise, conclusion = RULE_TEMPLATES[kind, n]
+    rule = builder(n)
+    assert rule.premises == (Schema("rule-premise", parse(premise)),)
+    assert rule.conclusion == Schema("rule-conclusion", parse(conclusion))
 
 
 def test_readme_rule_table_matches_the_rules():

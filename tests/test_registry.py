@@ -8,8 +8,12 @@ branch and pins the text it prints there.
 
 import dataclasses
 
+import pytest
+
 from doxa import oracle, registry
+from doxa.hilbert import SCHEMAS, SYSTEMS
 from doxa.semantics import Model
+from doxa.syntax import Atom, substitute
 
 ONE_STATE = Model.of(["s1"], [], {"p": []})
 # ``dump_model(ONE_STATE)``, which the texts below abbreviate as MODEL.
@@ -97,3 +101,28 @@ def test_search_checks_report_flipped_verdicts(monkeypatch):
         for outcome in [check.runner(states)]
     ]
     assert lines == FLIPPED.splitlines()
+
+
+def test_soundness_checks_pair_an_axiom_with_a_class_of_its_system(monkeypatch):
+    class Asked(Exception):
+        pass
+
+    def record(formula, fc, _budget):
+        raise Asked(formula, fc)
+
+    monkeypatch.setattr(oracle, "valid_on", record)
+    pqr = {"phi": Atom("p"), "psi": Atom("q"), "chi": Atom("r")}
+    instances = {substitute(s.template, pqr): name for name, s in SCHEMAS.items()}
+    declared = {(name, system.frames) for system in SYSTEMS.values() for name in system.schemas}
+    not_axioms = []
+    for check in registry.all_checks():
+        if "-sound-" not in check.id:
+            continue
+        with pytest.raises(Asked) as asked:
+            check.runner(1)
+        formula, fc = asked.value.args
+        if formula not in instances:
+            not_axioms.append(check.id)
+        else:
+            assert (instances[formula], fc) in declared, check.id
+    assert not_axioms == ["stronger-a4-sound-euclidean"]

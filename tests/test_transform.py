@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 from doxa import transform
+from doxa.hilbert import SCHEMAS
 from doxa.oracle import SearchBudget, frames_up_to
 from doxa.semantics import Frame, LanguageError, Model, UnknownStateError, evaluate, has_property, load_model
-from doxa.syntax import IR, And, Not, W, parse, print_formula
+from doxa.syntax import IR, And, Atom, Not, W, parse, print_formula, substitute
 from doxa.transform import (
     TranslationChain,
     almost_def_chain,
@@ -57,6 +58,9 @@ def test_chain_finals():
     assert print_formula(almost_def_chain("B").final) == (
         "W q & ~p -> W ((W r -> ~W (p & r)) & q)"
     )
+    pqr = {"phi": Atom("p"), "psi": Atom("q"), "chi": Atom("r")}
+    for axiom in ("4", "5", "B"):  # the axiom as hilbert.SCHEMAS defines it
+        assert almost_def_chain(axiom).final == substitute(SCHEMAS[f"A{axiom}"].template, pqr)
     with pytest.raises(ValueError):
         almost_def_chain("T")
 
