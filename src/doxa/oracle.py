@@ -18,9 +18,9 @@ least ``(valuation, state)`` row.  Searches and batteries pack a chunk
 of ``F`` same-size frames into each column (bit ``(v*F + t)*k + i`` for
 the frame in slot ``t``).  A search takes the least slot with a false
 row, then that slot's least row: the same first witness as a
-frame-by-frame scan.  A battery checks a list of items on every frame
-and takes the least slot where any item fails, then the earliest such
-item: the first failure of a scan frame by frame, item by item.  Class
+frame-by-frame scan.  Every battery runs one loop, ``run_battery``: the
+least slot where any item fails, then the earliest such item, is the
+first failure of a scan frame by frame, item by item, with its count.  Class
 membership, and the canonical members, are computed once per class and
 size, as Boolean circuits over the edge bits of all relation masks, so
 a search builds a ``Frame`` only for its witness.  Every search witness
@@ -31,10 +31,10 @@ returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, permutations
-from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import semantics
 from .semantics import ALL_FRAMES, Frame, FrameClass, Model
@@ -118,7 +118,8 @@ def frame_of_mask(k: int, mask: int) -> Frame:
 
 def frames_up_to(max_states: int) -> Iterator[Frame]:
     """All labeled frames on {s1..sk} for 1 <= k <= max_states, 2^(k*k)
-    per k, in ascending mask order; each is built as it is yielded."""
+    per k, in ascending mask order, each built as it is yielded.  Only the
+    tests (their reference enumeration) and the benchmark's tracer use it."""
     for k in range(1, max_states + 1):
         for mask in range(1 << (k * k)):
             yield frame_of_mask(k, mask)
@@ -372,10 +373,22 @@ class FrameChunk:
         ]
         return FrameChunk(k, slots, len(frames), tuple(_slot_bits("".join(e), k) for e in zip(*flags)))
 
+    @property
+    def every(self) -> int:
+        return _state_mask(self.k, self.slots)  # bit t*k of every slot t, padding included
+
     def mask(self, slot: int) -> int:
         """The relation mask of the frame in ``slot`` (see ``frame_of_mask``)."""
         shift = slot * self.k
         return sum(1 << e for e, lack in enumerate(self.lacks) if not (lack >> shift) & 1)
+
+    def masks(self, columns: Sequence[int] | None = None) -> list[int]:
+        """For each live slot ``t``, the int whose bit ``e`` is bit ``t*k`` of
+        ``columns[e]``, by default of the edges: ``mask(t)``.  One pass per
+        column, not one chunk-wide shift per slot."""
+        columns = [self.every ^ lack for lack in self.lacks] if columns is None else columns
+        digits = [format(c, f"0{self.slots * self.k}b")[:: -self.k][: self.live] for c in reversed(columns)]
+        return [int("".join(d), 2) for d in zip(*digits)]
 
 
 class FrameEvaluator:
@@ -417,7 +430,7 @@ class FrameEvaluator:
         self.state_mask = _state_mask(k, self.rows)
         phantom = (slots.bit_length() - 1) // k
         self.atom_pos = {a: phantom + i for i, a in enumerate(atoms)}
-        absent = _state_mask(k, slots)  # the lacks of an edge no slot has
+        absent = self.chunk.every  # the lacks of an edge no slot has
         self.edges = [[] for _ in range(k)]
         for e, lack in enumerate(self.chunk.lacks):
             if lack != absent:
@@ -517,12 +530,12 @@ class FrameEvaluator:
         v, i = divmod((bad & -bad).bit_length() - 1, slots * k)
         return v * slots + slot, i
 
-    def first_failure(self, bads: Iterable[int]) -> tuple[int, int, tuple[int, int]] | None:
+    def first_failure(self, bads: Iterable[int], text: Callable) -> tuple[int, int, str] | None:
         """The battery witness rule.  ``bads`` are the bad columns of a
         battery's items in order; the failure is the least slot with a set
-        bit, ties going to the earliest item, as ``(slot, item index, row)``
-        with ``row`` that item's first row in the slot, or None.  So it is
-        where a scan frame by frame, item by item, would stop first."""
+        bit, ties going to the earliest item ``n``, as ``(slot, n, text(n,
+        where))`` with ``where`` the ``describe`` of the item's first row in
+        the slot, or None: where a scan frame by frame, item by item, stops."""
         best = None
         for n, bad in enumerate(bads):
             row = self.least_row(bad)
@@ -530,7 +543,7 @@ class FrameEvaluator:
                 best = row[0] % self.slots, n, row
                 if best[0] == 0:
                     break
-        return best
+        return best and (best[0], best[1], text(best[1], self.describe(best[2])))
 
     def witness(self, row: tuple[int, int]) -> tuple[Model, str]:
         """The pointed model of a ``(row, state index)`` pair."""
@@ -623,6 +636,7 @@ def aux_valid_on(
     f: Formula, fc: FrameClass = ALL_FRAMES, budget: SearchBudget = SearchBudget()
 ) -> VerdictReport:
     """Bounded validity under the auxiliary semantics (IR read as identity)."""
+    semantics.check_ir_only(f)
     query = f"aux-validity of {print_formula(f)} on {fc.describe()} frames, up to {budget.max_states} states"
     return _search(f, fc, budget, query, aux=True)
 
@@ -767,6 +781,24 @@ class BatteryReport:
         return self.failure is None
 
 
+def run_battery(
+    name: str, fc: FrameClass, max_states: int, atoms: tuple[str, ...], check: Callable
+) -> BatteryReport:
+    """The one battery loop, over the chunks of the members of ``fc``
+    packed for the valuations of ``atoms``.  ``check(chunk)`` gives the
+    item count of each slot and the first failure ``(slot, item index in
+    the slot, text)`` or None.  The count is a scan's, frame by frame and
+    item by item; padding slots are not counted."""
+    checked = 0
+    for k in range(1, max_states + 1):
+        for chunk in _class_chunks(fc, k, 1 << (k * len(atoms))):
+            counts, failure = check(chunk)
+            if failure is not None:
+                return BatteryReport(name, checked + sum(counts[: failure[0]]) + failure[1] + 1, failure[2])
+            checked += sum(counts[: chunk.live])
+    return BatteryReport(name, checked)
+
+
 def wrong_false_at_reflexive(
     max_states: int = 3, budget: SearchBudget = SearchBudget(atoms=("p",))
 ) -> BatteryReport:
@@ -774,30 +806,16 @@ def wrong_false_at_reflexive(
     a case is one frame with a reflexive state and one g."""
     wrapped = [W(g) for g in corpus_for(budget)]
     last = last_uses(wrapped)
-    checked = 0
-    for k in range(1, max_states + 1):
-        valuations = 1 << (k * len(budget.atoms))
-        for chunk in _class_chunks(ALL_FRAMES, k, valuations):
-            ev = FrameEvaluator(chunk, budget.atoms)
-            # State i counts in the rows whose slot has the loop i -> i.
-            loops = [chunk.lacks[i * k + i] for i in range(k)]
-            keep = 0
-            for i, lack in enumerate(loops):
-                keep |= (ev.state_mask ^ _replicate(lack, chunk.slots * k, valuations)) << i
-            hit = ev.first_failure(c & keep for c in ev.each_column(wrapped, last))
-            live = _state_mask(k, chunk.slots) & ((1 << (chunk.live * k)) - 1)
-            loopless = live  # bit t*k: the frame in slot t has no loop
-            for lack in loops:
-                loopless &= lack
-            reflexive = live ^ loopless
-            if hit is None:
-                checked += reflexive.bit_count() * len(wrapped)
-                continue
-            slot, n, row = hit
-            before = reflexive & ((1 << (slot * k)) - 1)
-            return BatteryReport(
-                "wrong-false-at-reflexive",
-                checked + before.bit_count() * len(wrapped) + n + 1,
-                f"{print_formula(wrapped[n])} true at reflexive state {ev.describe(row)}",
-            )
-    return BatteryReport("wrong-false-at-reflexive", checked)
+
+    def check(chunk: FrameChunk):
+        k, slots, ev = chunk.k, chunk.slots, FrameEvaluator(chunk, budget.atoms)
+        loops = [chunk.every ^ lack for lack in chunk.lacks[:: k + 1]]  # the slots with the loop i -> i
+        # State i counts in the rows whose slot has the loop i -> i.
+        keep = sum(_replicate(has, slots * k, ev.rows // slots) << i for i, has in enumerate(loops))
+        hit = ev.first_failure(
+            (c & keep for c in ev.each_column(wrapped, last)),
+            lambda n, at: f"{print_formula(wrapped[n])} true at reflexive state {at}",
+        )
+        return [len(wrapped) * has for has in chunk.masks([reduce(or_, loops)])], hit
+
+    return run_battery("wrong-false-at-reflexive", ALL_FRAMES, max_states, budget.atoms, check)

@@ -159,11 +159,16 @@ def _ev(m: Model, s: str, f: Formula, aux: bool = False) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def evaluate_aux(model: Model, state: str, f: Formula) -> bool:
-    """Auxiliary semantics on the IR-only language: IR g is read as g."""
+def check_ir_only(f: Formula) -> None:
+    """Raise ``LanguageError`` unless ``f`` lies in the IR-only language."""
     for g in subformulas(f):
         if isinstance(g, (W, Box, FI)):
             raise LanguageError(f"{g} is outside the IR-only language")
+
+
+def evaluate_aux(model: Model, state: str, f: Formula) -> bool:
+    """Auxiliary semantics on the IR-only language: IR g is read as g."""
+    check_ir_only(f)
     if state not in model.frame.successor_map:
         raise UnknownStateError(state)
     return _ev(model, state, f, aux=True)

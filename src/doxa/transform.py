@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from . import oracle, semantics
-from .oracle import SearchBudget, VerdictReport
+from .oracle import FrameChunk, FrameEvaluator, SearchBudget, VerdictReport
 from .semantics import ALL_FRAMES, Frame, FrameClass, LanguageError, Model, frame_class, has_property
 from .syntax import (
     FI,
@@ -229,47 +229,28 @@ def _preservation_battery(
     once per side and chunk; a case is one item."""
     corpus = oracle.corpus_for(budget)
     last = oracle.last_uses(corpus)
-    checked = 0
-    for k in range(1, max_states + 1):
-        for chunk in oracle._class_chunks(admits, k, 1 << (k * len(budget.atoms))):
-            items, failure = [], None
-            for t in range(chunk.live):
-                frame = oracle.frame_of_mask(k, chunk.mask(t))
-                for root, built in constructions(frame):
-                    if not keeps.contains(built):
-                        failure = lost.format(frame=semantics.dump_model(Model(frame)), root=root)
-                        break
-                    items.append((frame, built))
-                if failure is not None:
-                    break
-            # The items before a lost property are checked first.
-            for start in range(0, len(items), chunk.slots):
-                batch = items[start : start + chunk.slots]
-                change = _first_change(batch, chunk.slots, corpus, last, budget.atoms)
-                if change is not None:
-                    slot, text = change
-                    return oracle.BatteryReport(name, checked + slot + 1, text)
-                checked += len(batch)
-            if failure is not None:
-                return oracle.BatteryReport(name, checked + 1, failure)
-    return oracle.BatteryReport(name, checked)
 
+    def check(chunk: FrameChunk):
+        frames = [oracle.frame_of_mask(chunk.k, mask) for mask in chunk.masks()]
+        made = [list(constructions(frame)) for frame in frames]  # the (root, built) items of each slot
+        items = [(t, n, root, built) for t, pairs in enumerate(made) for n, (root, built) in enumerate(pairs)]
+        cut = next((i for i, (*_, built) in enumerate(items) if not keeps.contains(built)), len(items))
+        counts = [len(pairs) for pairs in made]
+        # The items before a lost property are checked first.
+        for start in range(0, cut, chunk.slots):
+            slots, ns, _, built = zip(*items[start : min(start + chunk.slots, cut)])
+            ev = FrameEvaluator(FrameChunk.of([frames[t] for t in slots], chunk.slots), budget.atoms)
+            ev_built = FrameEvaluator(FrameChunk.of(built, chunk.slots), budget.atoms)
+            changes = (a ^ b for a, b in zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last)))
+            hit = ev.first_failure(changes, lambda n, at: f"{print_formula(corpus[n])} changes truth at {at}")
+            if hit is not None:
+                return counts, (slots[hit[0]], ns[hit[0]], hit[2])
+        if cut == len(items):
+            return counts, None
+        t, n, root, _ = items[cut]
+        return counts, (t, n, lost.format(frame=semantics.dump_model(Model(frames[t])), root=root))
 
-def _first_change(
-    items: list[tuple[Frame, Frame]], slots: int, corpus: tuple[Formula, ...],
-    last: list[list[Formula]], atoms: tuple[str, ...],
-) -> tuple[int, str] | None:
-    """The first item (its slot) and corpus formula whose truth differs
-    between the frame and the built frame of an item, and its text."""
-    frames, built = zip(*items)
-    ev = oracle.FrameEvaluator(oracle.FrameChunk.of(frames, slots), atoms)
-    ev_built = oracle.FrameEvaluator(oracle.FrameChunk.of(built, slots), atoms)
-    pairs = zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last))
-    hit = ev.first_failure(a ^ b for a, b in pairs)
-    if hit is None:
-        return None
-    slot, n, row = hit
-    return slot, f"{print_formula(corpus[n])} changes truth at {ev.describe(row)}"
+    return oracle.run_battery(name, admits, max_states, budget.atoms, check)
 
 
 def closure_battery(
@@ -317,24 +298,28 @@ _SUBMODEL_PROPERTIES = (
 
 
 def submodel_property_battery(max_states: int = 4) -> oracle.BatteryReport:
-    """Generated submodels keep each listed frame property."""
-    checked = 0
-    for frame in oracle.frames_up_to(max_states):
-        held = [p for p in _SUBMODEL_PROPERTIES if has_property(frame, p)]
-        if not held:
-            continue
-        base = Model(frame)
-        for root in frame.states:
-            sub = generated_submodel(base, root).frame
-            checked += 1
-            for p in held:
-                if not has_property(sub, p):
-                    return oracle.BatteryReport(
-                        "generated-submodel-properties",
-                        checked,
-                        f"{p} lost by the submodel of {semantics.dump_model(base)} at {root}",
-                    )
-    return oracle.BatteryReport("generated-submodel-properties", checked)
+    """Generated submodels keep each listed frame property (one equal to
+    its frame does); a case is one root of a frame with any of them."""
+
+    def check(chunk: FrameChunk):
+        k, every = chunk.k, chunk.every
+        edges = [[every ^ chunk.lacks[i * k + j] for j in range(k)] for i in range(k)]
+        held = [frame_class(p).members(edges, every) for p in _SUBMODEL_PROPERTIES]  # bit t*k: slot t has p
+        props = chunk.masks(held)  # bit b: property b
+        counts = [k if bits else 0 for bits in props]
+        for t, (mask, bits) in enumerate(zip(chunk.masks(), props)):
+            if not bits:
+                continue
+            base = Model(oracle.frame_of_mask(k, mask))
+            for n, root in enumerate(base.frame.states):
+                sub = generated_submodel(base, root).frame
+                for b, p in enumerate(_SUBMODEL_PROPERTIES):
+                    if bits >> b & 1 and sub != base.frame and not has_property(sub, p):
+                        text = f"{p} lost by the submodel of {semantics.dump_model(base)} at {root}"
+                        return counts, (t, n, text)
+        return counts, None
+
+    return oracle.run_battery("generated-submodel-properties", ALL_FRAMES, max_states, (), check)
 
 
 def translation_battery(
@@ -344,30 +329,21 @@ def translation_battery(
 
     ``direction`` is ``w2ri``, ``ri2w`` or ``roundtrip``.
     """
-    if direction == "w2ri":
-        pairs = [(f, w_to_ri(f)) for f in oracle.corpus_for(budget, ("W",))]
-    elif direction == "ri2w":
-        pairs = [(f, ri_to_w(f)) for f in oracle.corpus_for(budget, ("IR",))]
-    elif direction == "roundtrip":
-        pairs = [(f, ri_to_w(w_to_ri(f))) for f in oracle.corpus_for(budget, ("W",))]
-    else:
+    rewrites = {"w2ri": w_to_ri, "ri2w": ri_to_w, "roundtrip": lambda f: ri_to_w(w_to_ri(f))}
+    if direction not in rewrites:
         raise ValueError(f"unknown direction {direction!r}")
-    name = f"translation-{direction}"
+    corpus = oracle.corpus_for(budget, ("IR",) if direction == "ri2w" else ("W",))
+    pairs = [(f, rewrites[direction](f)) for f in corpus]
     flat = [h for pair in pairs for h in pair]  # f, g of each pair
     last = oracle.last_uses(flat)
-    checked = 0
-    for k in range(1, max_states + 1):
-        for chunk in oracle._class_chunks(ALL_FRAMES, k, 1 << (k * len(budget.atoms))):
-            ev = oracle.FrameEvaluator(chunk, budget.atoms)
-            cols = ev.each_column(flat, last)
-            hit = ev.first_failure(a ^ b for a, b in zip(cols, cols))
-            if hit is not None:
-                slot, n, row = hit
-                f, g = pairs[n]
-                return oracle.BatteryReport(
-                    name,
-                    checked + slot * len(pairs) + n + 1,
-                    f"{print_formula(f)} vs {print_formula(g)} differ at {ev.describe(row)}",
-                )
-            checked += chunk.live * len(pairs)
-    return oracle.BatteryReport(name, checked)
+
+    def check(chunk: FrameChunk):
+        ev = FrameEvaluator(chunk, budget.atoms)
+        cols = ev.each_column(flat, last)
+        hit = ev.first_failure(
+            (a ^ b for a, b in zip(cols, cols)),
+            lambda n, at: f"{print_formula(pairs[n][0])} vs {print_formula(pairs[n][1])} differ at {at}",
+        )
+        return [len(pairs)] * chunk.live, hit
+
+    return oracle.run_battery(f"translation-{direction}", ALL_FRAMES, max_states, budget.atoms, check)

@@ -1,11 +1,11 @@
 """The frame-packed batteries against one-frame reference loops.
 
-The references below scan every frame with its own one-frame evaluator,
-item by item; the packed batteries must give the same report (name,
-``items_checked`` and failure text) under injected faults and under
-column budgets that put a failure in a later slot, a later chunk or a
-padded last chunk.  The generated-submodel battery, still a loop over
-``Frame`` objects, is pinned by its count and one injected fault.
+The references below scan every frame, item by item, with a one-frame
+evaluator (the generated-submodel reference with ``has_property``).  The
+packed batteries, which all run through ``oracle.run_battery``, must
+give the same report (name, ``items_checked`` and failure text) under
+injected faults and under column budgets that put a failure in a later
+slot, a later chunk or a padded last chunk.
 """
 
 from contextlib import contextmanager
@@ -14,7 +14,7 @@ import pytest
 
 from doxa import oracle, transform
 from doxa.oracle import BatteryReport, FrameEvaluator, SearchBudget, frames_up_to, wrong_false_at_reflexive
-from doxa.semantics import ALL_FRAMES, Frame, Model, dump_model, frame_class
+from doxa.semantics import ALL_FRAMES, Frame, Model, dump_model, frame_class, has_property
 from doxa.syntax import IR, And, Atom, Not, Or, W, parse, print_formula
 from doxa.transform import closure_battery, cone_battery, submodel_property_battery, translation_battery
 
@@ -88,6 +88,23 @@ def reference_preservation_battery(name, max_states, budget, admits, constructio
     return BatteryReport(name, checked)
 
 
+def reference_submodel_property_battery(max_states):
+    checked = 0
+    for frame in frames_up_to(max_states):
+        held = [p for p in transform._SUBMODEL_PROPERTIES if has_property(frame, p)]
+        if not held:
+            continue
+        base = Model(frame)
+        for root in frame.states:
+            checked += 1
+            sub = transform.generated_submodel(base, root).frame
+            for p in held:
+                if not has_property(sub, p):
+                    failure = f"{p} lost by the submodel of {dump_model(base)} at {root}"
+                    return BatteryReport("generated-submodel-properties", checked, failure)
+    return BatteryReport("generated-submodel-properties", checked)
+
+
 def _reference(monkeypatch, battery, *args):
     """``battery(*args)`` with the one-frame reference loop in place of
     the packed one."""
@@ -95,6 +112,8 @@ def _reference(monkeypatch, battery, *args):
         return reference_wrong_false_at_reflexive(*args)
     if battery is translation_battery:
         return reference_translation_battery(*args)
+    if battery is submodel_property_battery:
+        return reference_submodel_property_battery(*args)
     with monkeypatch.context() as m:
         m.setattr(transform, "_preservation_battery", reference_preservation_battery)
         return battery(*args)
@@ -315,6 +334,27 @@ def test_passing_counts():
     assert closure_battery(4).items_checked == 6697
     assert cone_battery(4).items_checked == 337
     assert submodel_property_battery(3).items_checked == 1399
+
+
+def test_submodel_battery_matches_the_reference(monkeypatch):
+    assert _same_report(monkeypatch, submodel_property_battery, 3).passed
+
+
+def test_submodel_fault_fails_as_the_reference_does(monkeypatch):
+    fault = _edge_fault(transform.generated_submodel, 13, (1, 1), False)
+    monkeypatch.setattr(transform, "generated_submodel", fault)
+    assert not _same_report(monkeypatch, submodel_property_battery, 3).passed
+
+
+@pytest.mark.parametrize("bits", BUDGETS)
+def test_padding_slots_are_not_counted(bits):
+    # Every slot of every chunk reports two items, the padding slots of a
+    # padded last chunk too; only the live slots count.
+    euclidean = frame_class("euclidean")
+    with _chunk_budget(bits):
+        assert any(c.live < c.slots for k in (2, 3) for c in oracle._class_chunks(euclidean, k, 1 << k))
+        report = oracle.run_battery("two", euclidean, 3, ("p",), lambda chunk: ([2] * chunk.slots, None))
+    assert report == BatteryReport("two", 2 * sum(map(euclidean.contains, frames_up_to(3))))
 
 
 def test_submodel_battery_names_the_first_lost_property(monkeypatch):

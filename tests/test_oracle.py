@@ -30,6 +30,7 @@ from doxa.semantics import (
     VIOLATIONS,
     Frame,
     FrameClass,
+    LanguageError,
     Model,
     dump_model,
     evaluate,
@@ -272,6 +273,14 @@ def test_aux_ri_equ_fails():
 def test_aux_ri_con_holds():
     report = aux_valid_on(parse("IR p & ~p & IR q & ~q -> IR (p & q)"))
     assert report.verdict == NO_COUNTERMODEL
+
+
+@pytest.mark.parametrize("text", ["W p -> ~p", "W p", "B p | p", "FI p"])
+def test_aux_search_rejects_formulas_outside_the_ir_language(text):
+    # The language is checked before any frame is scanned, so a formula
+    # with no countermodel raises as one with a countermodel does.
+    with pytest.raises(LanguageError, match="outside the IR-only language"):
+        aux_valid_on(parse(text))
 
 
 # --- the bit-parallel evaluator agrees with the reference one ---------------
