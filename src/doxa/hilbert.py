@@ -109,7 +109,10 @@ def is_tautology(f: Formula) -> bool:
         column[g] = col  # a repeated subformula is evaluated once
         return col
 
-    return go(f) == full
+    try:
+        return go(f) == full
+    finally:
+        del go  # go holds itself in its closure; freeing it frees the table now
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ Concrete ASCII grammar, loosest to tightest binding:
 Atoms match ``[a-z][a-zA-Z0-9_]*``.  ``W`` is the false-belief operator
 ("believed but false"), ``B`` the plain belief box, ``IR`` radical
 ignorance, ``FI`` factive ignorance, ``T``/``F`` the constants.
+
+The four binary levels are one table, ``CONNECTIVES``, read by the parser
+(precedence climbing) and by the printer.  The lexer is one regular
+expression: any other non-space character, non-ASCII letters included, is
+a ``LexError``.
 """
 
 from __future__ import annotations
@@ -126,62 +131,49 @@ class FI(Formula):
 MODALITIES = {"W": W, "B": Box, "IR": IR, "FI": FI}
 MODAL_TYPES = tuple(MODALITIES.values())
 RESERVED = frozenset(MODALITIES) | {"T", "F"}
-BINARY_TYPES = (And, Or, Imp, Iff)
+# The binary connectives by token: (constructor, binding power,
+# right-associative), loosest first.  The parser and the printer read it.
+CONNECTIVES = {"<->": (Iff, 1, True), "->": (Imp, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
+BINARY_TYPES = tuple(ctor for ctor, _, _ in CONNECTIVES.values())
 
 # In place of the uncached field-tuple hash the dataclass decorator adds.
 for _cls in (Atom, Top, Bot, Not) + MODAL_TYPES + BINARY_TYPES:
     _cls.__hash__ = Formula.__hash__
 
 _MODAL_TOKEN = {ctor: token for token, ctor in MODALITIES.items()}
-_BINARY_TOKEN = {And: "&", Or: "|", Imp: "->", Iff: "<->"}
+_CONNECTIVE = {ctor: (token, bp, right) for token, (ctor, bp, right) in CONNECTIVES.items()}
 
 
 # ---------------------------------------------------------------------------
 # Lexer
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ATOM W B IR FI T F ~ & | -> <-> ( ) EOF
-    text: str
-    pos: int
-
-
-_SYMBOLS = ("<->", "->", "~", "&", "|", "(", ")")
+# (kind, text, pos): kind is the symbol or reserved word itself, ATOM or EOF.
+_Token = tuple[str, str, int]
+# A symbol, a word or any other non-space character; finditer skips spaces.
+_TOKEN_RE = re.compile(r"(<->|->|[~&|()])|([a-zA-Z][a-zA-Z0-9_]*)|(\S)")
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token(sym, sym, i))
-                i += len(sym)
-                break
+    for m in _TOKEN_RE.finditer(text):
+        symbol, word, other = m.groups()
+        pos = m.start()
+        if symbol:
+            tokens.append((symbol, symbol, pos))
+        elif other:
+            raise LexError(f"unexpected character {other!r}", pos)
+        elif word in RESERVED:
+            tokens.append((word, word, pos))
+        elif ATOM_RE.fullmatch(word):
+            tokens.append(("ATOM", word, pos))
         else:
-            if c.isalpha():
-                m = re.match(r"[a-zA-Z][a-zA-Z0-9_]*", text[i:])
-                word = m.group(0)
-                if word in RESERVED:
-                    tokens.append(_Token(word, word, i))
-                elif ATOM_RE.fullmatch(word):
-                    tokens.append(_Token("ATOM", word, i))
-                else:
-                    raise LexError(f"invalid token {word!r}", i)
-                i += len(word)
-            else:
-                raise LexError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("EOF", "", n))
+            raise LexError(f"invalid token {word!r}", pos)
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent following the grammar above)
+# Parser: precedence climbing over CONNECTIVES, recursive descent below.
 
 
 class _Parser:
@@ -189,78 +181,38 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.take()
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek().kind == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek().kind == "->":
-            self.take()
-            return Imp(left, self.imp())
-        return left
-
-    def or_(self) -> Formula:
-        left = self.and_()
-        while self.peek().kind == "|":
-            self.take()
-            left = Or(left, self.and_())
-        return left
-
-    def and_(self) -> Formula:
+    def binary(self, min_bp: int) -> Formula:
+        """The longest formula whose connectives all bind at ``min_bp`` or tighter."""
         left = self.unary()
-        while self.peek().kind == "&":
-            self.take()
-            left = And(left, self.unary())
-        return left
+        while True:
+            entry = CONNECTIVES.get(self.tokens[self.i][0])
+            if entry is None or entry[1] < min_bp:
+                return left
+            ctor, bp, right = entry
+            self.i += 1
+            left = ctor(left, self.binary(bp if right else bp + 1))
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "~":
-            self.take()
+        kind, text, pos = self.tokens[self.i]
+        self.i += 1
+        if kind == "~":
             return Not(self.unary())
-        ctor = MODALITIES.get(tok.kind)
-        if ctor is not None:
-            self.take()
-            return ctor(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "ATOM":
-            self.take()
-            return Atom(tok.text)
-        if tok.kind == "T":
-            self.take()
+        if kind in MODALITIES:
+            return MODALITIES[kind](self.unary())
+        if kind == "ATOM":
+            return Atom(text)
+        if kind == "T":
             return Top()
-        if tok.kind == "F":
-            self.take()
+        if kind == "F":
             return Bot()
-        if tok.kind == "(":
-            self.take()
-            inner = self.iff()
-            self.expect(")")
+        if kind == "(":
+            inner = self.binary(1)
+            kind, text, pos = self.tokens[self.i]
+            if kind != ")":
+                raise ParseError(f"expected ')', found {text or 'end of input'!r}", pos)
+            self.i += 1
             return inner
-        raise ParseError(
-            f"expected a formula, found {tok.text or 'end of input'!r}", tok.pos
-        )
+        raise ParseError(f"expected a formula, found {text or 'end of input'!r}", pos)
 
 
 def parse(text: str) -> Formula:
@@ -268,56 +220,34 @@ def parse(text: str) -> Formula:
     if not text.strip():
         raise ParseError("empty input", 0)
     parser = _Parser(_tokenize(text))
-    result = parser.iff()
-    trailing = parser.peek()
-    if trailing.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {trailing.text!r}", trailing.pos)
+    result = parser.binary(1)
+    kind, trailing, pos = parser.tokens[parser.i]
+    if kind != "EOF":
+        raise ParseError(f"unexpected trailing input {trailing!r}", pos)
     return result
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC_IFF, _PREC_IMP, _PREC_OR, _PREC_AND, _PREC_UNARY, _PREC_ATOM = 1, 2, 3, 4, 5, 6
 
-
-def _prec(f: Formula) -> int:
-    if isinstance(f, Iff):
-        return _PREC_IFF
-    if isinstance(f, Imp):
-        return _PREC_IMP
-    if isinstance(f, Or):
-        return _PREC_OR
-    if isinstance(f, And):
-        return _PREC_AND
-    if isinstance(f, (Not,) + MODAL_TYPES):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def _render(f: Formula, min_prec: int) -> str:
-    prec = _prec(f)
+def _render(f: Formula, min_bp: int) -> str:
+    """``f`` as text, in parentheses if its connective binds looser than ``min_bp``."""
     if isinstance(f, Atom):
-        text = f.name
-    elif isinstance(f, Top):
-        text = "T"
-    elif isinstance(f, Bot):
-        text = "F"
-    elif isinstance(f, Not):
-        text = "~" + _render(f.arg, _PREC_UNARY)
-    elif isinstance(f, MODAL_TYPES):
-        text = _MODAL_TOKEN[type(f)] + " " + _render(f.arg, _PREC_UNARY)
-    elif isinstance(f, (And, Or)):
-        # Left-associative: the right operand needs strictly higher precedence.
-        op = _BINARY_TOKEN[type(f)]
-        text = _render(f.left, prec) + f" {op} " + _render(f.right, prec + 1)
-    else:
-        # ->, <-> are right-associative.
-        op = _BINARY_TOKEN[type(f)]
-        text = _render(f.left, prec + 1) + f" {op} " + _render(f.right, prec)
-    if prec < min_prec:
-        return "(" + text + ")"
-    return text
+        return f.name
+    if isinstance(f, Top):
+        return "T"
+    if isinstance(f, Bot):
+        return "F"
+    if isinstance(f, (Not,) + MODAL_TYPES):
+        prefix = "~" if isinstance(f, Not) else _MODAL_TOKEN[type(f)] + " "
+        # Binds tighter than every connective: a binary operand is parenthesised.
+        return prefix + _render(f.arg, len(CONNECTIVES) + 1)
+    token, bp, right = _CONNECTIVE[type(f)]
+    # The operand on the grouping side may be the same connective unparenthesised.
+    left_bp, right_bp = (bp + 1, bp) if right else (bp, bp + 1)
+    text = f"{_render(f.left, left_bp)} {token} {_render(f.right, right_bp)}"
+    return f"({text})" if bp < min_bp else text
 
 
 def print_formula(f: Formula) -> str:

@@ -340,6 +340,21 @@ def test_deeply_nested_formula_is_a_usage_error(capsys, pair_file, tmp_path):
     assert _usage_error(code, err) and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text", ["é", "p & ü"])
+def test_non_ascii_letter_in_a_formula_is_a_usage_error(capsys, text):
+    code, out, err = run(capsys, "valid", text)
+    assert _usage_error(code, err) and "unexpected character" in err
+    assert out == ""
+
+
+def test_non_ascii_letter_in_a_proof_script_is_a_usage_error(capsys, tmp_path):
+    script = tmp_path / "accent.proof"
+    script.write_text("system: KW\n1. pé -> pé ; taut\n", encoding="utf-8")
+    code, out, err = run(capsys, "prove", str(script))
+    assert _usage_error(code, err) and "unexpected character 'é' (at position 1)" in err
+    assert out == ""
+
+
 def test_taut_past_the_letter_limit_is_a_usage_error(capsys, tmp_path):
     wide = " | ".join(f"p{i}" for i in range(25))
     script = tmp_path / "wide.proof"

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,6 +53,22 @@ def test_is_tautology_letter_limit():
     big = " | ".join(f"W a{i}" for i in range(21))
     with pytest.raises(AbstractionLimitError):
         is_tautology(parse(big))
+
+
+def test_is_tautology_frees_its_table_on_return():
+    # The columns of a 16-letter table are about 290 KB.  They must go
+    # when the call returns, not wait for the cyclic collector.
+    f = parse(" | ".join(f"p{i}" for i in range(16)) + " | ~p0")
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert is_tautology(f)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 10_000
 
 
 def test_match_schema_examples():

@@ -52,6 +52,29 @@ def test_parse_constants_and_box():
     assert parse("FI p") == FI(Atom("p"))
 
 
+_p, _q, _r, _s = (Atom(name) for name in "pqrs")
+_GROUPINGS = {
+    "p & q & r": And(And(_p, _q), _r),
+    "p & q | r": Or(And(_p, _q), _r),
+    "p & q -> r": Imp(And(_p, _q), _r),
+    "p & q <-> r": Iff(And(_p, _q), _r),
+    "p | q & r": Or(_p, And(_q, _r)),
+    "p | q | r": Or(Or(_p, _q), _r),
+    "p | q -> r": Imp(Or(_p, _q), _r),
+    "p | q <-> r": Iff(Or(_p, _q), _r),
+    "p -> q & r": Imp(_p, And(_q, _r)),
+    "p -> q | r": Imp(_p, Or(_q, _r)),
+    "p -> q -> r": Imp(_p, Imp(_q, _r)),
+    "p -> q <-> r": Iff(Imp(_p, _q), _r),
+    "p <-> q & r": Iff(_p, And(_q, _r)),
+    "p <-> q | r": Iff(_p, Or(_q, _r)),
+    "p <-> q -> r": Iff(_p, Imp(_q, _r)),
+    "p <-> q <-> r": Iff(_p, Iff(_q, _r)),
+    "p -> q <-> r -> s": Iff(Imp(_p, _q), Imp(_r, _s)),
+    "p -> q | r -> s": Imp(_p, Imp(Or(_q, _r), _s)),
+}
+
+
 def test_precedence():
     # unary > & > | > -> (right) > <->
     assert parse("~p & q") == And(Not(Atom("p")), Atom("q"))
@@ -61,6 +84,12 @@ def test_precedence():
     assert parse("p & q & r") == And(And(Atom("p"), Atom("q")), Atom("r"))
     assert parse("~W p") == Not(W(Atom("p")))
     assert parse("W ~p") == W(Not(Atom("p")))
+    # Every ordered pair of connectives, and two chains around a looser
+    # one, against the README grammar; no parentheses, so printing the
+    # AST must give the text back.
+    for text, want in _GROUPINGS.items():
+        assert parse(text) == want, text
+        assert print_formula(want) == text
 
 
 def test_print_examples():
@@ -77,6 +106,11 @@ def test_lex_errors():
         parse("Wp")  # reserved-prefix word, not an atom
     with pytest.raises(LexError):
         parse("IRp")
+    # A non-ASCII letter is an unexpected character, not a word.
+    for text, position in [("é", 0), ("pé -> pé", 1), ("p & ü", 4)]:
+        with pytest.raises(LexError, match="unexpected character") as exc:
+            parse(text)
+        assert exc.value.position == position
 
 
 def test_parse_errors():
@@ -90,6 +124,31 @@ def test_parse_errors():
         parse("p q")
     with pytest.raises(ParseError):
         parse("W")
+
+
+@pytest.mark.parametrize(
+    "text, error, message, position",
+    [
+        ("p $ q", LexError, "unexpected character '$'", 2),
+        ("Wp", LexError, "invalid token 'Wp'", 0),
+        ("IRp", LexError, "invalid token 'IRp'", 0),
+        ("p &", ParseError, "expected a formula, found 'end of input'", 3),
+        ("(p", ParseError, "expected ')', found 'end of input'", 2),
+        ("p q", ParseError, "unexpected trailing input 'q'", 2),
+        ("W", ParseError, "expected a formula, found 'end of input'", 1),
+        (")", ParseError, "expected a formula, found ')'", 0),
+        ("p <- q", LexError, "unexpected character '<'", 2),
+        ("1p", LexError, "unexpected character '1'", 0),
+        ("_p", LexError, "unexpected character '_'", 0),
+        ("   ", ParseError, "empty input", 0),
+    ],
+)
+def test_bad_input_errors(text, error, message, position):
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
 
 
 def test_atom_name_validation():
