@@ -69,7 +69,10 @@ def _abstraction_letters(f: Formula) -> list[Formula]:
             walk(g.left)
             walk(g.right)
 
-    walk(f)
+    try:
+        walk(f)
+    finally:
+        del walk  # walk holds itself in its closure; freeing it frees letters now
     return list(letters)
 
 

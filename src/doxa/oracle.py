@@ -18,14 +18,15 @@ least ``(valuation, state)`` row.  Searches and batteries pack a chunk
 of ``F`` same-size frames into each column (bit ``(v*F + t)*k + i`` for
 the frame in slot ``t``).  A search takes the least slot with a false
 row, then that slot's least row: the same first witness as a
-frame-by-frame scan.  Every battery runs one loop, ``run_battery``: the
-least slot where any item fails, then the earliest such item, is the
-first failure of a scan frame by frame, item by item, with its count.  Class
-membership, and the canonical members, are computed once per class and
-size, as Boolean circuits over the edge bits of all relation masks, so
-a search builds a ``Frame`` only for its witness.  Every search witness
-is re-checked by the independent recursive evaluator before a report is
-returned.
+frame-by-frame scan.  A box shifts a column once per offset ``d = j - i``
+between states, ``2k - 2`` times in all.  Every battery runs one loop,
+``run_battery``: the least slot where any item fails, then the earliest
+such item, is the first failure of a scan frame by frame, item by item,
+with its count.  Class membership, and the canonical members, are
+computed once per class and size, as Boolean circuits over the edge bits
+of all relation masks, so a search builds a ``Frame`` only for its
+witness.  Every search witness is re-checked by the independent
+recursive evaluator before a report is returned.
 """
 
 from __future__ import annotations
@@ -400,10 +401,14 @@ class FrameEvaluator:
     state ``i`` of the frame in slot ``t`` under valuation index ``v``:
     row ``v*F + t`` is one model, and the slots act as low phantom atoms
     of the row index.  ``full`` has all ``rows * k`` bits set, ``rows =
-    R*F``.  An edge that every slot has is a plain AND in the box clause,
-    one that no slot has drops out, and any other is ORed in as the
-    state-0 mask of the rows whose slot lacks it.  A one-frame evaluator
-    (``F = 1``) has bit ``v*k + i``.
+    R*F``.  A one-frame evaluator (``F = 1``) has bit ``v*k + i``.
+
+    The box clause ANDs one term per offset ``d = j - i`` (``diags``):
+    the column shifted to bring state ``i + d`` onto state ``i``, ORed with
+    a lack column whose bit ``(v*F + t)*k + i`` is set when slot ``t``
+    lacks the edge ``i -> i + d`` or ``i + d`` is no state (the shift
+    brings in the next or previous row there, or zeros).  An offset that
+    every row lacks drops out, and one without a lack bit is a plain AND.
 
     The witness order (``least_row``) is: least slot with a set bit, then
     its least ``(valuation, state)``; for ``F = 1`` that is the lowest set
@@ -430,25 +435,20 @@ class FrameEvaluator:
         self.state_mask = _state_mask(k, self.rows)
         phantom = (slots.bit_length() - 1) // k
         self.atom_pos = {a: phantom + i for i, a in enumerate(atoms)}
-        absent = self.chunk.every  # the lacks of an edge no slot has
-        self.edges = [[] for _ in range(k)]
-        for e, lack in enumerate(self.chunk.lacks):
-            if lack != absent:
-                i, j = divmod(e, k)
-                self.edges[i].append((j, _replicate(lack, slots * k, valuations) if lack else None))
+        every, lacks = self.chunk.every, self.chunk.lacks
+        self.diags = []  # (d, lack column of the offset d, or None if it has none)
+        for d in range(1 - k, k):
+            lack = sum((lacks[i * k + i + d] if 0 <= i + d < k else every) << i for i in range(k))
+            if lack != (1 << (slots * k)) - 1:  # an offset that every row lacks drops out
+                self.diags.append((d, _replicate(lack, slots * k, valuations) if lack else None))
         self._memo: dict[Formula, int] = {}
 
-    def _box(self, c: int, edges: Sequence[Sequence[tuple[int, int | None]]]) -> int:
-        """At each state ``i``: the AND of ``c`` over the successors ``j``
-        of ``(j, lack)`` in ``edges[i]``, true in the rows ``lack`` marks."""
-        mask = self.state_mask
-        out = 0
-        shifted = [c >> j for j in range(self.k)]  # each state's shift is shared by its edges
-        for i, js in enumerate(edges):
-            acc = mask
-            for j, lack in js:
-                acc &= shifted[j] if lack is None else shifted[j] | lack
-            out |= acc << i
+    def _box(self, c: int, diags: Sequence[tuple[int, int | None]], out: int) -> int:
+        """``out`` ANDed, at each state ``i`` and for each ``(d, lack)`` of
+        ``diags``, with ``c`` at state ``i + d``, true where ``lack`` is."""
+        for d, lack in diags:
+            shifted = c >> d if d > 0 else c << -d if d else c  # c >> 0 would copy c
+            out &= shifted if lack is None else shifted | lack
         return out
 
     def columns(self, g: Formula) -> int:
@@ -474,20 +474,20 @@ class FrameEvaluator:
             col = (full ^ self.columns(g.left)) | self.columns(g.right)
         elif isinstance(g, Iff):
             col = full ^ self.columns(g.left) ^ self.columns(g.right)
-        elif isinstance(g, Box):
-            col = self._box(self.columns(g.arg), self.edges)
+        elif isinstance(g, Box):  # starting from full clears what << pushes past the top
+            col = self._box(self.columns(g.arg), self.diags, full)
         elif isinstance(g, W):
             c = self.columns(g.arg)
-            col = self._box(c, self.edges) & (full ^ c)
+            col = self._box(c, self.diags, full ^ c)
         elif isinstance(g, IR) and self.aux:
             col = self.columns(g.arg)
         elif isinstance(g, IR):
             c = self.columns(g.arg)
-            col = self._box(c, self.edges) & (full ^ c) | self._box(full ^ c, self.edges) & c
+            n = full ^ c
+            col = self._box(c, self.diags, n) | self._box(n, self.diags, c)
         elif isinstance(g, FI):
             c = self.columns(g.arg)
-            others = [[e for e in js if e[0] != i] for i, js in enumerate(self.edges)]
-            col = c & self._box(full ^ c, others)
+            col = self._box(full ^ c, [diag for diag in self.diags if diag[0]], c)  # no loops
         else:
             raise TypeError(f"not a formula: {g!r}")
         memo[g] = col

@@ -164,7 +164,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise LexError(f"unexpected character {other!r}", pos)
         elif word in RESERVED:
             tokens.append((word, word, pos))
-        elif ATOM_RE.fullmatch(word):
+        elif "a" <= word[0] <= "z":  # the rest of ATOM_RE is the word's own pattern
             tokens.append(("ATOM", word, pos))
         else:
             raise LexError(f"invalid token {word!r}", pos)

@@ -134,8 +134,10 @@ def _box_skipping_loops(from_state):
     ``i >= from_state``, so W g turns true at those reflexive states."""
     box = FrameEvaluator._box
 
-    def skipping(self, c, edges):
-        return box(self, c, [[e for e in es if e[0] != i or i < from_state] for i, es in enumerate(edges)])
+    def skipping(self, c, diags, out):
+        # The skipped states join the lack column of the loops, offset 0.
+        skipped = sum(self.state_mask << i for i in range(from_state, self.k))
+        return box(self, c, [(d, (lack or 0) | skipped if d == 0 else lack) for d, lack in diags], out)
 
     return skipping
 

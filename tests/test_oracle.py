@@ -1,3 +1,4 @@
+import random
 from contextlib import contextmanager
 from itertools import islice, permutations
 
@@ -9,6 +10,7 @@ from doxa.oracle import (
     COUNTERMODEL,
     NO_COUNTERMODEL,
     BudgetError,
+    FrameChunk,
     FrameEvaluator,
     SearchBudget,
     agree_up_to,
@@ -436,8 +438,8 @@ def test_wrong_false_failure_names_least_row(monkeypatch):
     # with W g true, at its least (valuation, state) row.
     box = FrameEvaluator._box
 
-    def box_without_loops(self, c, edges):
-        return box(self, c, [[e for e in es if e[0] != i] for i, es in enumerate(edges)])
+    def box_without_loops(self, c, diags, out):
+        return box(self, c, [(d, lack) for d, lack in diags if d != 0], out)  # offset 0: the loops
 
     monkeypatch.setattr(FrameEvaluator, "_box", box_without_loops)
     report = wrong_false_at_reflexive(2)
@@ -604,6 +606,46 @@ def test_packed_columns_match_one_frame_columns(f, fc, k, aux, bits):
             want = one.columns(f)
             for v in range(valuations):
                 assert (col >> ((v * slots + t) * k)) & state == (want >> (v * k)) & state
+
+
+def _kernel_chunks(k):
+    """Chunks of seeded random ``k``-state frames for the kernel test:
+    a padded one that holds a frame with every loop and one with none,
+    one where every slot has the edge ``s1 -> sk`` and one where no slot
+    has ``sk -> s1``."""
+    rng = random.Random(k)
+    slots = 1 << (k if k >= 3 else 2 * k)
+    loops = sum(1 << (i * k + i) for i in range(k))
+    masks = [rng.getrandbits(k * k) for _ in range(3 * slots)]
+    padded = [masks[0] | loops, masks[1] & ~loops] + masks[2 : slots * 3 // 4]
+    every = [m | 1 << (k - 1) for m in masks[slots : 2 * slots]]
+    none = [m & ~(1 << (k - 1) * k) for m in masks[2 * slots :]]
+    return [FrameChunk.of([frame_of_mask(k, m) for m in ms], slots) for ms in (padded, every, none)]
+
+
+_KERNEL_FORMULAS = [parse(t) for t in ("B p", "W p", "IR p", "FI p", "W ~W p", "IR (p & FI p)")]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_kernel_matches_the_reference_up_to_five_states(k):
+    # Every bit of every slot, padding included (a padding slot holds the
+    # complete frame).  p comes second below 4 states, so its column sits
+    # above q's and the slots.
+    atoms = ("q", "p") if k <= 3 else ("p",)
+    complete = frame_of_mask(k, (1 << (k * k)) - 1)
+    for chunk in _kernel_chunks(k):
+        frames = [frame_of_mask(k, chunk.mask(t)) for t in range(chunk.live)]
+        frames += [complete] * (chunk.slots - chunk.live)
+        cases = [(f, False) for f in _KERNEL_FORMULAS] + [(parse("IR (p & ~IR p)"), True)]
+        for f, aux in cases:
+            ev = FrameEvaluator(chunk, atoms, aux=aux)
+            col, check = ev.columns(f), evaluate_aux if aux else evaluate
+            assert 0 <= col <= ev.full
+            for t, frame in enumerate(frames):
+                for v in range(1 << (k * len(atoms))):
+                    model = model_at(frame, atoms, v)
+                    for i, s in enumerate(frame.states):
+                        assert bool(col >> ((v * chunk.slots + t) * k + i) & 1) == check(model, s, f)
 
 
 def test_five_state_members_stream_in_mask_order():

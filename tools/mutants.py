@@ -51,8 +51,20 @@ MUTANTS = [
         "(bp + 1, bp + 1) if right else (bp, bp + 1)",
         ["tests/test_syntax.py"],
     ),
-    # The truth table must be freed when is_tautology returns.
+    # The truth table and the letters must be freed when their functions return.
     ("tautology-cycle-kept", HILBERT, "        del go  #", "        pass  #", ["tests/test_hilbert.py"]),
+    ("abstraction-letters-cycle-kept", HILBERT, "        del walk  #", "        pass  #", ["tests/test_hilbert.py"]),
+    # The box clause: one shift and one lack column per offset d = j - i.
+    ("out-of-range-offset-constrained", ORACLE, "else every) << i", "else 0) << i", BATTERIES),
+    ("box-from-minus-one", ORACLE, "self.diags, full)", "self.diags, -1)", BATTERIES),
+    ("fi-keeps-the-loops", ORACLE, "[diag for diag in self.diags if diag[0]]", "self.diags", BATTERIES),
+    (
+        "shift-direction-swapped",
+        ORACLE,
+        "c >> d if d > 0 else c << -d if d else c",
+        "c << d if d > 0 else c >> -d if d else c",
+        BATTERIES,
+    ),
     # The one battery loop and its first-failure rule.
     ("battery-counts-padding", ORACLE, "sum(counts[: chunk.live])", "sum(counts[: chunk.slots])", BATTERIES),
     ("battery-tie-to-later-slot", ORACLE, "row[0] % self.slots < best[0]", "row[0] % self.slots <= best[0]", BATTERIES),
