@@ -33,10 +33,12 @@ from .syntax import (
     Or,
     Top,
     W,
+    children,
     parse,
     print_formula,
     substitute,
 )
+from .transform import w_to_ri
 
 
 class AbstractionLimitError(ValueError):
@@ -59,20 +61,13 @@ def _abstraction_letters(f: Formula) -> list[Formula]:
     """Maximal non-Boolean subformulas (atoms and modal formulas), in
     first-occurrence order."""
     letters: dict[Formula, None] = {}
-
-    def walk(g: Formula) -> None:
+    stack = [f]
+    while stack:
+        g = stack.pop()
         if isinstance(g, (Atom, W, Box, IR, FI)):
             letters.setdefault(g)
-        elif isinstance(g, Not):
-            walk(g.arg)
-        elif isinstance(g, (And, Or, Imp, Iff)):
-            walk(g.left)
-            walk(g.right)
-
-    try:
-        walk(f)
-    finally:
-        del walk  # walk holds itself in its closure; freeing it frees letters now
+        else:
+            stack += reversed(children(g))  # the left child is visited first
     return list(letters)
 
 
@@ -136,48 +131,29 @@ def match_schema(schema: Schema, f: Formula) -> dict[str, Formula] | None:
 
     def walk(t: Formula, g: Formula) -> bool:
         if isinstance(t, Atom):
-            bound = binding.get(t.name)
-            if bound is None:
-                binding[t.name] = g
-                return True
-            return bound == g
-        if type(t) is not type(g):
-            return False
-        if isinstance(t, (Top, Bot)):
-            return True
-        if isinstance(t, (Not, W, Box, IR, FI)):
-            return walk(t.arg, g.arg)
-        return walk(t.left, g.left) and walk(t.right, g.right)
+            return binding.setdefault(t.name, g) == g
+        return type(t) is type(g) and all(map(walk, children(t), children(g)))
 
     return binding if walk(schema.template, f) else None
 
 
-def _schema(name: str, text: str) -> Schema:
-    return Schema(name, parse(text))
-
-
 SCHEMAS: dict[str, Schema] = {
-    s.name: s
-    for s in (
-        _schema("A1", "W phi -> ~phi"),
-        _schema("A2", "W phi & W psi -> W (phi & psi)"),
-        _schema("AD", "~W F"),
-        _schema("AT", "~W phi"),
-        _schema("A4", "W psi & W (phi & psi) -> W ((W chi -> W (phi & chi)) & psi)"),
-        _schema("A5", "W psi & ~W (phi & psi) -> W ((W chi -> ~W (phi & chi)) & psi)"),
-        _schema("AB", "W psi & ~phi -> W ((W chi -> ~W (phi & chi)) & psi)"),
-        _schema("RI-Equ", "IR phi <-> IR ~phi"),
-        _schema("RI-Con", "IR phi & ~phi & IR psi & ~psi -> IR (phi & psi)"),
-        _schema("RI-D", "~IR F"),
-        # RI-4 is exactly the image of A4 under the W-to-IR rewrite.
-        _schema(
-            "RI-4",
-            "(IR psi & ~psi) & (IR (phi & psi) & ~(phi & psi))"
-            " -> IR ((IR chi & ~chi -> IR (phi & chi) & ~(phi & chi)) & psi)"
-            " & ~((IR chi & ~chi -> IR (phi & chi) & ~(phi & chi)) & psi)",
-        ),
+    name: Schema(name, parse(text))
+    for name, text in (
+        ("A1", "W phi -> ~phi"),
+        ("A2", "W phi & W psi -> W (phi & psi)"),
+        ("AD", "~W F"),
+        ("AT", "~W phi"),
+        ("A4", "W psi & W (phi & psi) -> W ((W chi -> W (phi & chi)) & psi)"),
+        ("A5", "W psi & ~W (phi & psi) -> W ((W chi -> ~W (phi & chi)) & psi)"),
+        ("AB", "W psi & ~phi -> W ((W chi -> ~W (phi & chi)) & psi)"),
+        ("RI-Equ", "IR phi <-> IR ~phi"),
+        ("RI-Con", "IR phi & ~phi & IR psi & ~psi -> IR (phi & psi)"),
+        ("RI-D", "~IR F"),
     )
 }
+# RI-4 is the image of A4 under the W-to-IR rewrite.
+SCHEMAS["RI-4"] = Schema("RI-4", w_to_ri(SCHEMAS["A4"].template))
 
 
 @dataclass(frozen=True)

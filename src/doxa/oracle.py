@@ -40,9 +40,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from . import semantics
 from .semantics import ALL_FRAMES, Frame, FrameClass, Model
 from .syntax import (
-    BINARY_TYPES,
     FI,
-    MODAL_TYPES,
     MODALITIES,
     IR,
     And,
@@ -57,6 +55,7 @@ from .syntax import (
     Top,
     W,
     atoms_of,
+    children,
     modal_depth,
     print_formula,
 )
@@ -338,10 +337,7 @@ def last_uses(formulas: Sequence[Formula]) -> list[list[Formula]]:
             if g not in seen:
                 seen.add(g)
                 last[n].append(g)
-                if isinstance(g, BINARY_TYPES):
-                    stack += g.left, g.right
-                elif isinstance(g, (Not, *MODAL_TYPES)):
-                    stack.append(g.arg)
+                stack += children(g)
     return last
 
 
@@ -378,6 +374,12 @@ class FrameChunk:
     def every(self) -> int:
         return _state_mask(self.k, self.slots)  # bit t*k of every slot t, padding included
 
+    @property
+    def edges(self) -> list[list[int]]:
+        """Bit ``t*k`` of ``edges[i][j]`` is set iff slot ``t`` has the edge ``s(i+1) -> s(j+1)``."""
+        k, every = self.k, self.every
+        return [[every ^ self.lacks[i * k + j] for j in range(k)] for i in range(k)]
+
     def mask(self, slot: int) -> int:
         """The relation mask of the frame in ``slot`` (see ``frame_of_mask``)."""
         shift = slot * self.k
@@ -387,7 +389,7 @@ class FrameChunk:
         """For each live slot ``t``, the int whose bit ``e`` is bit ``t*k`` of
         ``columns[e]``, by default of the edges: ``mask(t)``.  One pass per
         column, not one chunk-wide shift per slot."""
-        columns = [self.every ^ lack for lack in self.lacks] if columns is None else columns
+        columns = [c for row in self.edges for c in row] if columns is None else columns
         digits = [format(c, f"0{self.slots * self.k}b")[:: -self.k][: self.live] for c in reversed(columns)]
         return [int("".join(d), 2) for d in zip(*digits)]
 
@@ -432,7 +434,6 @@ class FrameEvaluator:
         valuations = 1 << (k * len(atoms))
         self.rows = valuations * slots
         self.full = (1 << (self.rows * k)) - 1
-        self.state_mask = _state_mask(k, self.rows)
         phantom = (slots.bit_length() - 1) // k
         self.atom_pos = {a: phantom + i for i, a in enumerate(atoms)}
         every, lacks = self.chunk.every, self.chunk.lacks
@@ -809,7 +810,7 @@ def wrong_false_at_reflexive(
 
     def check(chunk: FrameChunk):
         k, slots, ev = chunk.k, chunk.slots, FrameEvaluator(chunk, budget.atoms)
-        loops = [chunk.every ^ lack for lack in chunk.lacks[:: k + 1]]  # the slots with the loop i -> i
+        loops = [row[i] for i, row in enumerate(chunk.edges)]  # the slots with the loop i -> i
         # State i counts in the rows whose slot has the loop i -> i.
         keep = sum(_replicate(has, slots * k, ev.rows // slots) << i for i, has in enumerate(loops))
         hit = ev.first_failure(

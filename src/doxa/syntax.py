@@ -17,6 +17,9 @@ The four binary levels are one table, ``CONNECTIVES``, read by the parser
 (precedence climbing) and by the printer.  The lexer is one regular
 expression: any other non-space character, non-ASCII letters included, is
 a ``LexError``.
+
+``children`` gives a node's immediate subformulas: every walk blind to the
+node kind (substitution, measures, schema matching) reads them through it.
 """
 
 from __future__ import annotations
@@ -256,20 +259,24 @@ def print_formula(f: Formula) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Substitution and measures
+# Children, substitution and measures
+
+
+def children(f: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of ``f``, left to right: ``()`` for an
+    atom or a constant, so ``type(f)(*children(f)) == f`` for every non-atom."""
+    if isinstance(f, BINARY_TYPES):
+        return f.left, f.right
+    if isinstance(f, Not) or isinstance(f, MODAL_TYPES):
+        return (f.arg,)
+    return ()
 
 
 def substitute(f: Formula, mapping: Mapping[str, Formula]) -> Formula:
     """Simultaneously replace atoms per ``mapping``; other atoms unchanged."""
     if isinstance(f, Atom):
         return mapping.get(f.name, f)
-    if isinstance(f, (Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(substitute(f.arg, mapping))
-    if isinstance(f, MODAL_TYPES):
-        return type(f)(substitute(f.arg, mapping))
-    return type(f)(substitute(f.left, mapping), substitute(f.right, mapping))
+    return type(f)(*[substitute(g, mapping) for g in children(f)])
 
 
 @dataclass(frozen=True)
@@ -282,11 +289,8 @@ class FormulaMeasures:
 def subformulas(f: Formula) -> Iterator[Formula]:
     """All subformula occurrences, root first."""
     yield f
-    if isinstance(f, Not) or isinstance(f, MODAL_TYPES):
-        yield from subformulas(f.arg)
-    elif isinstance(f, BINARY_TYPES):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+    for g in children(f):
+        yield from subformulas(g)
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
@@ -294,13 +298,12 @@ def atoms_of(f: Formula) -> frozenset[str]:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.arg)
-    if isinstance(f, MODAL_TYPES):
-        return 1 + modal_depth(f.arg)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    depth = 0
+    for g in children(f):
+        d = modal_depth(g)
+        if d > depth:
+            depth = d
+    return depth + 1 if isinstance(f, MODAL_TYPES) else depth
 
 
 def size(f: Formula) -> int:

@@ -5,7 +5,9 @@ the box-free language step by step; each consecutive pair of lines is
 biconditionally valid, which ``check_chain`` verifies by bounded search.
 The model constructions (Euclidean closure, generated submodel, cone
 augmentation) come with ``verify_preservation`` so nothing is taken on
-faith.
+faith.  ``w_to_ri`` and ``ri_to_w`` are one rewrite, ``_rewrite``, told
+which operator to replace, by what, and which operators lie outside the
+source language.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from . import oracle, semantics
 from .oracle import FrameChunk, FrameEvaluator, SearchBudget, VerdictReport
 from .semantics import ALL_FRAMES, Frame, FrameClass, LanguageError, Model, frame_class, has_property
 from .syntax import (
+    BINARY_TYPES,
     FI,
     IR,
     And,
@@ -34,34 +37,27 @@ from .syntax import (
 )
 
 
-def w_to_ri(f: Formula) -> Formula:
-    """Rewrite each W g into IR g' & ~g', innermost first."""
-    if isinstance(f, (Box, FI)):
-        raise LanguageError(f"{f} is outside the W-language")
+def _rewrite(f: Formula, op: type, outside: tuple, language: str, wrap: Callable) -> Formula:
+    """Rewrite each ``op g`` into ``wrap(g')``, innermost first; the first
+    subformula in pre-order of an ``outside`` type is a ``LanguageError``."""
+    if isinstance(f, outside):
+        raise LanguageError(f"{f} is outside the {language}-language")
     if isinstance(f, (Atom, Top, Bot)):
         return f
-    if isinstance(f, Not):
-        return Not(w_to_ri(f.arg))
-    if isinstance(f, W):
-        inner = w_to_ri(f.arg)
-        return And(IR(inner), Not(inner))
-    if isinstance(f, IR):
-        return IR(w_to_ri(f.arg))
-    return type(f)(w_to_ri(f.left), w_to_ri(f.right))
+    if isinstance(f, BINARY_TYPES):
+        return type(f)(_rewrite(f.left, op, outside, language, wrap), _rewrite(f.right, op, outside, language, wrap))
+    inner = _rewrite(f.arg, op, outside, language, wrap)
+    return wrap(inner) if isinstance(f, op) else type(f)(inner)
+
+
+def w_to_ri(f: Formula) -> Formula:
+    """Rewrite each W g into IR g' & ~g', innermost first."""
+    return _rewrite(f, W, (Box, FI), "W", lambda g: And(IR(g), Not(g)))
 
 
 def ri_to_w(f: Formula) -> Formula:
     """Rewrite each IR g into W g' | W ~g', innermost first."""
-    if isinstance(f, (Box, W, FI)):
-        raise LanguageError(f"{f} is outside the IR-language")
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, Not):
-        return Not(ri_to_w(f.arg))
-    if isinstance(f, IR):
-        inner = ri_to_w(f.arg)
-        return Or(W(inner), W(Not(inner)))
-    return type(f)(ri_to_w(f.left), ri_to_w(f.right))
+    return _rewrite(f, IR, (Box, W, FI), "IR", lambda g: Or(W(g), W(Not(g))))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +298,7 @@ def submodel_property_battery(max_states: int = 4) -> oracle.BatteryReport:
     its frame does); a case is one root of a frame with any of them."""
 
     def check(chunk: FrameChunk):
-        k, every = chunk.k, chunk.every
-        edges = [[every ^ chunk.lacks[i * k + j] for j in range(k)] for i in range(k)]
+        k, every, edges = chunk.k, chunk.every, chunk.edges
         held = [frame_class(p).members(edges, every) for p in _SUBMODEL_PROPERTIES]  # bit t*k: slot t has p
         props = chunk.masks(held)  # bit b: property b
         counts = [k if bits else 0 for bits in props]

@@ -32,7 +32,8 @@ def reference_wrong_false_at_reflexive(max_states, budget=ONE_ATOM):
         if not refl:
             continue
         ev = FrameEvaluator(frame, budget.atoms)
-        keep = sum(ev.state_mask << i for i in refl)
+        state_mask = oracle._state_mask(ev.k, ev.rows)
+        keep = sum(state_mask << i for i in refl)
         for wg in wrapped:
             checked += 1
             row = ev.least_row(ev.columns(wg) & keep)
@@ -136,7 +137,8 @@ def _box_skipping_loops(from_state):
 
     def skipping(self, c, diags, out):
         # The skipped states join the lack column of the loops, offset 0.
-        skipped = sum(self.state_mask << i for i in range(from_state, self.k))
+        state_mask = oracle._state_mask(self.k, self.rows)
+        skipped = sum(state_mask << i for i in range(from_state, self.k))
         return box(self, c, [(d, (lack or 0) | skipped if d == 0 else lack) for d, lack in diags], out)
 
     return skipping

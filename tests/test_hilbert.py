@@ -89,6 +89,12 @@ def test_abstraction_letters_leave_nothing_behind():
     assert retained < 50_000
 
 
+def test_abstraction_letters_keep_first_occurrence_order():
+    # A walk taking the right child first would give W q, p, IR r.
+    f = parse("(p | W q) & ~(IR r -> p) | W q")
+    assert hilbert._abstraction_letters(f) == [parse("p"), parse("W q"), parse("IR r")]
+
+
 def test_match_schema_examples():
     sub = match_schema(SCHEMAS["A1"], parse("W (p | q) -> ~(p | q)"))
     assert sub == {"phi": parse("p | q")}
@@ -114,6 +120,14 @@ def test_match_then_substitute_reproduces():
 
 def test_ri4_is_the_translation_image_of_a4():
     assert SCHEMAS["RI-4"].template == w_to_ri(SCHEMAS["A4"].template)
+
+
+def test_ri4_template_is_its_written_form():
+    assert SCHEMAS["RI-4"].template == parse(
+        "(IR psi & ~psi) & (IR (phi & psi) & ~(phi & psi))"
+        " -> IR ((IR chi & ~chi -> IR (phi & chi) & ~(phi & chi)) & psi)"
+        " & ~((IR chi & ~chi -> IR (phi & chi) & ~(phi & chi)) & psi)"
+    )
 
 
 def test_system_tables():

@@ -17,6 +17,7 @@ from doxa.syntax import (
     Top,
     W,
     atoms_of,
+    children,
     measures,
     modal_depth,
     parse,
@@ -166,6 +167,15 @@ def test_substitute_examples():
     assert substitute(parse("IR p & ~p"), {"p": parse("W q")}) == parse(
         "IR (W q) & ~W q"
     )
+
+
+def test_children_rebuild_every_node_kind():
+    p, q = Atom("p"), Atom("q")
+    for leaf in (p, Top(), Bot()):
+        assert children(leaf) == ()
+    assert children(Imp(p, q)) == (p, q)
+    for f in (Top(), Bot(), Not(p), W(p), Box(p), IR(p), FI(p), And(p, q), Or(p, q), Imp(p, q), Iff(p, q)):
+        assert type(f)(*children(f)) == f
 
 
 def test_substitute_is_simultaneous():

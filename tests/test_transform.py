@@ -48,6 +48,21 @@ def test_ri_to_w_examples():
         ri_to_w(parse("B p"))
 
 
+@pytest.mark.parametrize(
+    "rewrite, text, message",
+    [
+        (w_to_ri, "W (B p & FI q)", "B p is outside the W-language"),
+        (ri_to_w, "IR (W p | B q)", "W p is outside the IR-language"),
+        (ri_to_w, "IR p & ~(FI q -> W r)", "FI q is outside the IR-language"),
+    ],
+)
+def test_rewrites_name_the_first_subformula_outside_the_language(rewrite, text, message):
+    # The first in pre-order: the outer node before its arguments, left before right.
+    with pytest.raises(LanguageError) as caught:
+        rewrite(parse(text))
+    assert str(caught.value) == message
+
+
 def test_chain_finals():
     assert print_formula(almost_def_chain("4").final) == (
         "W q & W (p & q) -> W ((W r -> W (p & r)) & q)"

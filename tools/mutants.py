@@ -24,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 SYNTAX, HILBERT, ORACLE = "src/doxa/syntax.py", "src/doxa/hilbert.py", "src/doxa/oracle.py"
+TRANSFORM = "src/doxa/transform.py"
 BATTERIES = ["tests/test_batteries.py", "tests/test_oracle.py"]
 
 MUTANTS = [
@@ -51,9 +52,32 @@ MUTANTS = [
         "(bp + 1, bp + 1) if right else (bp, bp + 1)",
         ["tests/test_syntax.py"],
     ),
-    # The truth table and the letters must be freed when their functions return.
+    # The one child rule and the walks through it.
+    ("children-binary-swapped", SYNTAX, "return f.left, f.right", "return f.right, f.left", ["tests/test_syntax.py"]),
+    (
+        "match-schema-any-type",
+        HILBERT,
+        "return type(t) is type(g) and all(",
+        "return all(",
+        ["tests/test_hilbert.py"],
+    ),
+    (
+        "abstraction-letters-right-first",
+        HILBERT,
+        "stack += reversed(children(g))",
+        "stack += children(g)",
+        ["tests/test_hilbert.py"],
+    ),
+    # The one W/IR rewrite; RI-4 is built by it.
+    (
+        "rewrite-op-unwrapped",
+        TRANSFORM,
+        "return wrap(inner) if isinstance(f, op) else type(f)(inner)",
+        "return type(f)(inner)",
+        ["tests/test_transform.py", "tests/test_hilbert.py"],
+    ),
+    # The truth table must be freed when its function returns.
     ("tautology-cycle-kept", HILBERT, "        del go  #", "        pass  #", ["tests/test_hilbert.py"]),
-    ("abstraction-letters-cycle-kept", HILBERT, "        del walk  #", "        pass  #", ["tests/test_hilbert.py"]),
     # The box clause: one shift and one lack column per offset d = j - i.
     ("out-of-range-offset-constrained", ORACLE, "else every) << i", "else 0) << i", BATTERIES),
     ("box-from-minus-one", ORACLE, "self.diags, full)", "self.diags, -1)", BATTERIES),
