@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 from .oracle import atom_column
@@ -83,34 +84,33 @@ def is_tautology(f: Formula) -> bool:
     # Truth-table columns packed into ints: bit v = value on row v, kept
     # for this table only (not across calls: a table may have 2^20 rows).
     column = {letter: atom_column(i, 1, rows) for i, letter in enumerate(letters)}
+    return _truth_column(f, column, full) == full
 
-    def go(g: Formula) -> int:
-        col = column.get(g)
-        if col is not None:
-            return col
-        if isinstance(g, Top):
-            col = full
-        elif isinstance(g, Bot):
-            col = 0
-        elif isinstance(g, Not):
-            col = full ^ go(g.arg)
-        elif isinstance(g, And):
-            col = go(g.left) & go(g.right)
-        elif isinstance(g, Or):
-            col = go(g.left) | go(g.right)
-        elif isinstance(g, Imp):
-            col = (full ^ go(g.left)) | go(g.right)
-        elif isinstance(g, Iff):
-            col = full ^ (go(g.left) ^ go(g.right))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        column[g] = col  # a repeated subformula is evaluated once
+
+def _truth_column(g: Formula, column: dict[Formula, int], full: int) -> int:
+    """The truth-table column of ``g``, filling ``column`` (the letters'
+    columns to start with) so a repeated subformula is evaluated once."""
+    col = column.get(g)
+    if col is not None:
         return col
-
-    try:
-        return go(f) == full
-    finally:
-        del go  # go holds itself in its closure; freeing it frees the table now
+    if isinstance(g, Top):
+        col = full
+    elif isinstance(g, Bot):
+        col = 0
+    elif isinstance(g, Not):
+        col = full ^ _truth_column(g.arg, column, full)
+    elif isinstance(g, And):
+        col = _truth_column(g.left, column, full) & _truth_column(g.right, column, full)
+    elif isinstance(g, Or):
+        col = _truth_column(g.left, column, full) | _truth_column(g.right, column, full)
+    elif isinstance(g, Imp):
+        col = (full ^ _truth_column(g.left, column, full)) | _truth_column(g.right, column, full)
+    elif isinstance(g, Iff):
+        col = full ^ (_truth_column(g.left, column, full) ^ _truth_column(g.right, column, full))
+    else:
+        raise TypeError(f"not a formula: {g!r}")
+    column[g] = col
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +128,15 @@ class Schema:
 def match_schema(schema: Schema, f: Formula) -> dict[str, Formula] | None:
     """The unique substitution with substitute(template, s) == f, or None."""
     binding: dict[str, Formula] = {}
+    return binding if _match(schema.template, f, binding) else None
 
-    def walk(t: Formula, g: Formula) -> bool:
-        if isinstance(t, Atom):
-            return binding.setdefault(t.name, g) == g
-        return type(t) is type(g) and all(map(walk, children(t), children(g)))
 
-    return binding if walk(schema.template, f) else None
+def _match(t: Formula, g: Formula, binding: dict[str, Formula]) -> bool:
+    """Whether ``g`` is ``t`` with each atom replaced as ``binding`` says,
+    binding each atom not yet in it to the subformula of ``g`` it meets."""
+    if isinstance(t, Atom):
+        return binding.setdefault(t.name, g) == g
+    return type(t) is type(g) and all(map(_match, children(t), children(g), repeat(binding)))
 
 
 SCHEMAS: dict[str, Schema] = {

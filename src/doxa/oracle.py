@@ -56,7 +56,6 @@ from .syntax import (
     W,
     atoms_of,
     children,
-    modal_depth,
     print_formula,
 )
 
@@ -645,34 +644,6 @@ def aux_valid_on(
 # ---------------------------------------------------------------------------
 # Formula corpus enumeration
 
-@lru_cache(maxsize=64)
-def _pool(
-    atoms: tuple[str, ...], max_size: int, modalities: tuple[str, ...]
-) -> tuple[tuple[Formula, ...], ...]:
-    """Formulas of each size 1..max_size over atoms, ~, & and the modalities.
-
-    The corpus language is the primitive grammar of the object language
-    (negation, conjunction, the chosen modalities); each size bucket is
-    sorted by printed form, so enumeration order is size-lexicographic.
-    """
-    ctors = [Not] + [MODALITIES[m] for m in modalities]
-    buckets: list[list[Formula]] = [[]]
-    buckets.append([Atom(a) for a in sorted(atoms)])
-    for n in range(2, max_size + 1):
-        bucket: list[Formula] = []
-        for g in buckets[n - 1]:
-            for ctor in ctors:
-                bucket.append(ctor(g))
-        for left_size in range(1, n - 1):
-            right_size = n - 1 - left_size
-            for gl in buckets[left_size]:
-                for gr in buckets[right_size]:
-                    bucket.append(And(gl, gr))
-        bucket.sort(key=print_formula)
-        buckets.append(bucket)
-    return tuple(tuple(b) for b in buckets[1:])
-
-
 def enumerate_formulas(
     atoms: Sequence[str],
     max_modal_depth: int,
@@ -687,8 +658,29 @@ def enumerate_formulas(
 def _corpus(
     atoms: tuple[str, ...], max_modal_depth: int, max_size: int, modalities: tuple[str, ...]
 ) -> tuple[Formula, ...]:
-    pool = _pool(atoms, max_size, modalities)
-    return tuple(f for bucket in pool for f in bucket if modal_depth(f) <= max_modal_depth)
+    """Formulas of each size 1..max_size over atoms, ~, & and the
+    modalities, of modal depth at most max_modal_depth.
+
+    The corpus language is the primitive grammar of the object language
+    (negation, conjunction, the chosen modalities); each size bucket is
+    sorted by printed form, so enumeration order is size-lexicographic.
+    Each entry carries its modal depth.  A formula deeper than the bound
+    is never built, as all its superformulas are deeper still, so each
+    bucket is the unbounded one less its deep entries, in the same order.
+    """
+    if max_modal_depth < 0:
+        return ()
+    ctors = [(Not, 0)] + [(MODALITIES[m], 1) for m in modalities]
+    buckets: list[list[tuple[Formula, int]]] = [[], [(Atom(a), 0) for a in sorted(atoms)]]
+    for n in range(2, max_size + 1):
+        bucket = [(ctor(g), d + up) for g, d in buckets[n - 1] for ctor, up in ctors if d + up <= max_modal_depth]
+        for left_size in range(1, n - 1):
+            for gl, dl in buckets[left_size]:
+                for gr, dr in buckets[n - 1 - left_size]:
+                    bucket.append((And(gl, gr), max(dl, dr)))
+        bucket.sort(key=lambda entry: print_formula(entry[0]))
+        buckets.append(bucket)
+    return tuple(f for bucket in buckets for f, _ in bucket)
 
 
 def corpus_for(budget: SearchBudget, modalities: Sequence[str] = ("W",)) -> tuple[Formula, ...]:

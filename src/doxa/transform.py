@@ -222,7 +222,8 @@ def _preservation_battery(
 
     The ``(frame, built)`` items of each chunk of admitted frames are
     packed slot by slot into two chunks, so a corpus formula is evaluated
-    once per side and chunk; a case is one item."""
+    once per side and pack, and the ``keeps`` circuit classes the built
+    frames of a pack in the same pass; a case is one item."""
     corpus = oracle.corpus_for(budget)
     last = oracle.last_uses(corpus)
 
@@ -230,21 +231,22 @@ def _preservation_battery(
         frames = [oracle.frame_of_mask(chunk.k, mask) for mask in chunk.masks()]
         made = [list(constructions(frame)) for frame in frames]  # the (root, built) items of each slot
         items = [(t, n, root, built) for t, pairs in enumerate(made) for n, (root, built) in enumerate(pairs)]
-        cut = next((i for i, (*_, built) in enumerate(items) if not keeps.contains(built)), len(items))
         counts = [len(pairs) for pairs in made]
-        # The items before a lost property are checked first.
-        for start in range(0, cut, chunk.slots):
-            slots, ns, _, built = zip(*items[start : min(start + chunk.slots, cut)])
+        for start in range(0, len(items), chunk.slots):
+            slots, ns, roots, built = zip(*items[start : start + chunk.slots])
+            packed = FrameChunk.of(built, chunk.slots)
+            kept = packed.masks([keeps.members(packed.edges, packed.every)])
+            cut = next((i for i, bit in enumerate(kept) if not bit), len(kept))  # the first item outside keeps
             ev = FrameEvaluator(FrameChunk.of([frames[t] for t in slots], chunk.slots), budget.atoms)
-            ev_built = FrameEvaluator(FrameChunk.of(built, chunk.slots), budget.atoms)
+            ev_built = FrameEvaluator(packed, budget.atoms)
             changes = (a ^ b for a, b in zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last)))
             hit = ev.first_failure(changes, lambda n, at: f"{print_formula(corpus[n])} changes truth at {at}")
-            if hit is not None:
+            if hit is not None and hit[0] < cut:
                 return counts, (slots[hit[0]], ns[hit[0]], hit[2])
-        if cut == len(items):
-            return counts, None
-        t, n, root, _ = items[cut]
-        return counts, (t, n, lost.format(frame=semantics.dump_model(Model(frames[t])), root=root))
+            if cut < len(kept):  # a lost property fails before its item's truth is compared
+                frame = semantics.dump_model(Model(frames[slots[cut]]))
+                return counts, (slots[cut], ns[cut], lost.format(frame=frame, root=roots[cut]))
+        return counts, None
 
     return oracle.run_battery(name, admits, max_states, budget.atoms, check)
 

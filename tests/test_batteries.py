@@ -14,7 +14,7 @@ import pytest
 
 from doxa import oracle, transform
 from doxa.oracle import BatteryReport, FrameEvaluator, SearchBudget, frames_up_to, wrong_false_at_reflexive
-from doxa.semantics import ALL_FRAMES, Frame, Model, dump_model, frame_class, has_property
+from doxa.semantics import ALL_FRAMES, Frame, FrameClass, Model, dump_model, frame_class, has_property
 from doxa.syntax import IR, And, Atom, Not, Or, W, parse, print_formula
 from doxa.transform import closure_battery, cone_battery, submodel_property_battery, translation_battery
 
@@ -290,6 +290,23 @@ def test_box_skipping_loops_breaks_the_constructions_as_the_reference_does(monke
     monkeypatch.setattr(FrameEvaluator, "_box", _box_skipping_loops(1))
     for battery in (closure_battery, cone_battery):
         _same_report(monkeypatch, battery, 3)
+
+
+def _no_contains(self, frame):
+    raise AssertionError("FrameClass.contains called")
+
+
+@pytest.mark.parametrize(
+    "battery, construction",
+    [(closure_battery, "euclidean_closure"), (cone_battery, "cone_augment")],
+)
+@pytest.mark.parametrize("fault", [None, (11, (1, 0), False), (23, (0, 1), True)])
+def test_construction_batteries_class_built_frames_by_circuit(monkeypatch, battery, construction, fault):
+    if fault:
+        monkeypatch.setattr(transform, construction, _edge_fault(getattr(transform, construction), *fault))
+    want = _reference(monkeypatch, battery, 3)
+    monkeypatch.setattr(FrameClass, "contains", _no_contains)
+    assert battery(3) == want
 
 
 # --- where the failures land ----------------------------------------------------

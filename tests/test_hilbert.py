@@ -95,6 +95,25 @@ def test_abstraction_letters_keep_first_occurrence_order():
     assert hilbert._abstraction_letters(f) == [parse("p"), parse("W q"), parse("IR r")]
 
 
+def test_match_schema_leaves_nothing_behind():
+    # A walk nested in match_schema held itself in its closure, so each
+    # call left the function, its cells and the binding (about 460 bytes
+    # for A4) to the cyclic collector.
+    f = parse("W q & W (p & q) -> W ((W r -> W (p & r)) & q)")
+    assert match_schema(SCHEMAS["A4"], f) is not None
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(1000):
+            match_schema(SCHEMAS["A4"], f)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert retained < 50_000
+
+
 def test_match_schema_examples():
     sub = match_schema(SCHEMAS["A1"], parse("W (p | q) -> ~(p | q)"))
     assert sub == {"phi": parse("p | q")}

@@ -43,6 +43,7 @@ from doxa.semantics import (
 )
 from doxa.syntax import (
     FI,
+    MODALITIES,
     IR,
     And,
     Atom,
@@ -55,6 +56,7 @@ from doxa.syntax import (
     Top,
     W,
     atoms_of,
+    modal_depth,
     parse,
     print_formula,
     subformulas,
@@ -191,6 +193,29 @@ def test_corpus_depth_bound():
     from doxa.syntax import modal_depth
 
     assert all(modal_depth(f) <= 1 for f in corpus)
+
+
+def _pool_then_filter(atoms, max_modal_depth, max_size, modalities):
+    """The corpus built the long way: every formula of each size up to
+    ``max_size`` (and the atoms even at size 0), each size sorted by
+    printed form, then the ones deeper than ``max_modal_depth`` dropped."""
+    ctors = [Not] + [MODALITIES[m] for m in modalities]
+    buckets = [[], [Atom(a) for a in sorted(atoms)]]
+    for n in range(2, max_size + 1):
+        bucket = [ctor(g) for g in buckets[n - 1] for ctor in ctors]
+        bucket += [And(gl, gr) for left in range(1, n - 1) for gl in buckets[left] for gr in buckets[n - 1 - left]]
+        buckets.append(sorted(bucket, key=print_formula))
+    return tuple(f for bucket in buckets for f in bucket if modal_depth(f) <= max_modal_depth)
+
+
+@pytest.mark.parametrize("atoms", [("p",), ("q", "p")])
+@pytest.mark.parametrize("modalities", [("W",), ("IR", "W"), ("W", "B", "IR", "FI")])
+def test_corpus_is_the_filtered_pool(atoms, modalities):
+    for depth in range(-1, 4):
+        for size in range(0, 6):
+            want = _pool_then_filter(atoms, depth, size, modalities)
+            assert enumerate_formulas(atoms, depth, size, modalities) == want, (depth, size)
+            assert want or depth < 0
 
 
 def test_corpus_with_box_modality():

@@ -76,8 +76,14 @@ MUTANTS = [
         "return type(f)(inner)",
         ["tests/test_transform.py", "tests/test_hilbert.py"],
     ),
-    # The truth table must be freed when its function returns.
-    ("tautology-cycle-kept", HILBERT, "        del go  #", "        pass  #", ["tests/test_hilbert.py"]),
+    # The truth-table column of a biconditional.
+    (
+        "tautology-iff-unnegated",
+        HILBERT,
+        "col = full ^ (_truth_column(g.left, column, full) ^ _truth_column(g.right, column, full))",
+        "col = _truth_column(g.left, column, full) ^ _truth_column(g.right, column, full)",
+        ["tests/test_hilbert.py"],
+    ),
     # The box clause: one shift and one lack column per offset d = j - i.
     ("out-of-range-offset-constrained", ORACLE, "else every) << i", "else 0) << i", BATTERIES),
     ("box-from-minus-one", ORACLE, "self.diags, full)", "self.diags, -1)", BATTERIES),
@@ -87,6 +93,18 @@ MUTANTS = [
         ORACLE,
         "c >> d if d > 0 else c << -d if d else c",
         "c << d if d > 0 else c >> -d if d else c",
+        BATTERIES,
+    ),
+    # The corpus: each entry carries its modal depth, and deeper ones are never built.
+    ("corpus-depth-bound-strict", ORACLE, "if d + up <= max_modal_depth", "if d + up < max_modal_depth", ["tests/test_oracle.py"]),
+    ("corpus-and-depth-left-only", ORACLE, "max(dl, dr)", "dl", ["tests/test_oracle.py"]),
+    # The construction batteries: built frames classed by circuit, in one pass.
+    ("construction-lost-ties-to-truth", TRANSFORM, "hit[0] < cut", "hit[0] <= cut", BATTERIES),
+    (
+        "construction-kept-from-every",
+        TRANSFORM,
+        "[keeps.members(packed.edges, packed.every)]",
+        "[packed.every]",
         BATTERIES,
     ),
     # The one battery loop and its first-failure rule.
