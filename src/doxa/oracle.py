@@ -415,10 +415,10 @@ class FrameEvaluator:
     its least ``(valuation, state)``; for ``F = 1`` that is the lowest set
     bit.  The battery rule (``first_failure``) takes the least slot over
     a list of items, ties going to the earliest item.  Columns are
-    memoized by formula (structural equality) for the lifetime of the
-    evaluator, so equal subformulas share one entry and a battery pays
-    for each node of its corpus once per chunk.  With ``aux=True`` the IR
-    clause is the identity clause.
+    memoized by formula node for the lifetime of the evaluator; nodes are
+    interned, so equal subformulas are one node with one entry, and a
+    battery pays for each node of its corpus once per chunk.  With
+    ``aux=True`` the IR clause is the identity clause.
     """
 
     def __init__(self, frame: Frame | FrameChunk, atoms: tuple[str, ...], aux: bool = False):

@@ -20,6 +20,12 @@ a ``LexError``.
 
 ``children`` gives a node's immediate subformulas: every walk blind to the
 node kind (substitution, measures, schema matching) reads them through it.
+
+There is one node per structure: a constructor given the class and fields
+of a node already built returns that node (hash-consing; Filliatre and
+Conchon, "Type-safe modular hash-consing", 2006).  So structural equality
+is identity, ``==`` and ``hash`` are ``object``'s, and every memo keyed on
+formulas looks them up at C speed.  Nodes live as long as the process.
 """
 
 from __future__ import annotations
@@ -47,85 +53,115 @@ class ParseError(FormulaError):
     pass
 
 
-@dataclass(frozen=True)
+# Every node built, by (class, *fields): one node per structure.
+_NODES: dict[tuple, Formula] = {}
+
+
+# The decorator of every node class.  ``eq=False`` keeps ``object``'s
+# identity ``==`` and ``hash``; ``init=False`` because ``__new__`` sets the
+# fields of a new node, and a node found in the table is returned untouched.
+_node = dataclass(frozen=True, eq=False, slots=True, init=False)
+
+
+@_node
 class Formula:
+    """A formula node, one per structure (see the module docstring).
+    Fields are given by position or by name; a copy or a pickle of a node
+    is the node itself."""
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in cls.__match_args__[len(args) :] if name in kwargs)
+            if kwargs:
+                raise TypeError(f"{cls.__name__}() got unexpected fields {sorted(kwargs)}")
+        key = (cls, *args)
+        node = _NODES.get(key)
+        if node is None:
+            if len(args) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__}() takes the fields {cls.__match_args__}, got {len(args)}")
+            cls._validate(*args)
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, args):
+                object.__setattr__(node, name, value)
+            _NODES[key] = node
+        return node
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    @staticmethod
+    def _validate(*fields) -> None:
+        """Raise on fields that make no formula, before the node is built."""
+
     def __str__(self) -> str:
         return print_formula(self)
 
-    def __hash__(self) -> int:
-        # Structural and cached on the node, for formula-keyed memo tables.
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((type(self).__name__, *(getattr(self, n) for n in self.__match_args__)))
-            object.__setattr__(self, "_hash", h)
-            return h
 
-
-@dataclass(frozen=True)
+@_node
 class Atom(Formula):
     name: str
 
-    def __post_init__(self):
-        if not ATOM_RE.fullmatch(self.name) or self.name in RESERVED:
-            raise ValueError(f"invalid atom name: {self.name!r}")
+    @staticmethod
+    def _validate(name) -> None:
+        if not ATOM_RE.fullmatch(name) or name in RESERVED:
+            raise ValueError(f"invalid atom name: {name!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Formula):
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Imp(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class W(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Box(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class IR(Formula):
     arg: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class FI(Formula):
     arg: Formula
 
@@ -138,10 +174,6 @@ RESERVED = frozenset(MODALITIES) | {"T", "F"}
 # right-associative), loosest first.  The parser and the printer read it.
 CONNECTIVES = {"<->": (Iff, 1, True), "->": (Imp, 2, True), "|": (Or, 3, False), "&": (And, 4, False)}
 BINARY_TYPES = tuple(ctor for ctor, _, _ in CONNECTIVES.values())
-
-# In place of the uncached field-tuple hash the dataclass decorator adds.
-for _cls in (Atom, Top, Bot, Not) + MODAL_TYPES + BINARY_TYPES:
-    _cls.__hash__ = Formula.__hash__
 
 _MODAL_TOKEN = {ctor: token for token, ctor in MODALITIES.items()}
 _CONNECTIVE = {ctor: (token, bp, right) for token, (ctor, bp, right) in CONNECTIVES.items()}

@@ -5,59 +5,54 @@ the box-free language step by step; each consecutive pair of lines is
 biconditionally valid, which ``check_chain`` verifies by bounded search.
 The model constructions (Euclidean closure, generated submodel, cone
 augmentation) come with ``verify_preservation`` so nothing is taken on
-faith.  ``w_to_ri`` and ``ri_to_w`` are one rewrite, ``_rewrite``, told
+faith.  ``w_to_ri`` and ``ri_to_w`` are one rewrite, ``_rewriter``, told
 which operator to replace, by what, and which operators lie outside the
-source language.
+source language.  Formulas are interned (``syntax.Formula``), so each
+direction keeps one cache of rewritten nodes: a subformula shared by many
+formulas, as in a corpus, is rewritten once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from . import oracle, semantics
 from .oracle import FrameChunk, FrameEvaluator, SearchBudget, VerdictReport
 from .semantics import ALL_FRAMES, Frame, FrameClass, LanguageError, Model, frame_class, has_property
-from .syntax import (
-    BINARY_TYPES,
-    FI,
-    IR,
-    And,
-    Atom,
-    Bot,
-    Box,
-    Formula,
-    Iff,
-    Not,
-    Or,
-    Top,
-    W,
-    parse,
-    print_formula,
-)
+from .syntax import FI, IR, And, Box, Formula, Iff, Not, Or, W, children, parse, print_formula
 
 
-def _rewrite(f: Formula, op: type, outside: tuple, language: str, wrap: Callable) -> Formula:
-    """Rewrite each ``op g`` into ``wrap(g')``, innermost first; the first
-    subformula in pre-order of an ``outside`` type is a ``LanguageError``."""
-    if isinstance(f, outside):
-        raise LanguageError(f"{f} is outside the {language}-language")
-    if isinstance(f, (Atom, Top, Bot)):
-        return f
-    if isinstance(f, BINARY_TYPES):
-        return type(f)(_rewrite(f.left, op, outside, language, wrap), _rewrite(f.right, op, outside, language, wrap))
-    inner = _rewrite(f.arg, op, outside, language, wrap)
-    return wrap(inner) if isinstance(f, op) else type(f)(inner)
+def _rewriter(op: type, outside: tuple, language: str, wrap: Callable) -> Callable[[Formula], Formula]:
+    """The rewrite of each ``op g`` into ``wrap(g')``, innermost first; the
+    first subformula in pre-order of an ``outside`` type is a
+    ``LanguageError``.  Its cache rewrites each distinct node once."""
+
+    @cache
+    def rewrite(f: Formula) -> Formula:
+        if isinstance(f, outside):
+            raise LanguageError(f"{f} is outside the {language}-language")
+        parts = [rewrite(g) for g in children(f)]
+        if isinstance(f, op):
+            return wrap(*parts)
+        return type(f)(*parts) if parts else f
+
+    return rewrite
+
+
+_w_to_ri = _rewriter(W, (Box, FI), "W", lambda g: And(IR(g), Not(g)))
+_ri_to_w = _rewriter(IR, (Box, W, FI), "IR", lambda g: Or(W(g), W(Not(g))))
 
 
 def w_to_ri(f: Formula) -> Formula:
     """Rewrite each W g into IR g' & ~g', innermost first."""
-    return _rewrite(f, W, (Box, FI), "W", lambda g: And(IR(g), Not(g)))
+    return _w_to_ri(f)
 
 
 def ri_to_w(f: Formula) -> Formula:
     """Rewrite each IR g into W g' | W ~g', innermost first."""
-    return _rewrite(f, IR, (Box, W, FI), "IR", lambda g: Or(W(g), W(Not(g))))
+    return _ri_to_w(f)
 
 
 # ---------------------------------------------------------------------------

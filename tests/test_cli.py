@@ -415,6 +415,22 @@ def test_python_dash_m_runs_the_cli(formula, want):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_paper_is_byte_identical_across_processes(fmt):
+    # A formula's hash is its address, so a report ordered by a set of
+    # formulas would differ from one process to the next.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-m", "doxa", "verify-paper", "--max-states", "2", "--format", fmt],
+            env=dict(env, PYTHONHASHSEED=seed), capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_paper_reports_a_failing_check(capsys, monkeypatch, fmt):
     from doxa import registry
 

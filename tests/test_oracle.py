@@ -418,7 +418,7 @@ def test_least_row_matches_reference_scan_aux(frame, f):
 def test_memo_is_keyed_on_the_formula(frame, f):
     ev = FrameEvaluator(frame, ("p", "q"))
     first, second = parse(print_formula(f)), parse(print_formula(f))
-    assert first is not second
+    assert first is second
     cols = ev.columns(first)
     entries = len(ev._memo)
     assert entries == len(set(subformulas(f)))

@@ -1,6 +1,11 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+from doxa import syntax
+from doxa.oracle import enumerate_formulas
 from doxa.syntax import (
     FI,
     IR,
@@ -25,6 +30,7 @@ from doxa.syntax import (
     size,
     substitute,
 )
+from doxa.transform import w_to_ri
 
 
 def test_parse_a1():
@@ -223,9 +229,39 @@ def test_print_parse_roundtrip(f):
 @given(formulas)
 def test_hash_is_structural(f):
     g = parse(print_formula(f))
-    assert g is not f and g == f and hash(g) == hash(f)
+    assert g is f and g == f and hash(g) == hash(f)
     assert len({f, g}) == 1
     assert Not(f) != W(f) and hash(Not(f)) == hash(Not(g))
+
+
+@given(formulas)
+def test_copies_are_the_node_itself(f):
+    for copied in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert copied is f
+
+
+def test_keyword_fields_and_rejected_atoms():
+    p, q = Atom("p"), Atom("q")
+    assert Atom(name="p") is p and And(right=q, left=p) is And(p, q)
+    assert Top() is Top() and Not(p) is not W(p)
+    for _ in range(2):  # an invalid name never enters the table
+        with pytest.raises(ValueError, match="invalid atom name: 'W'"):
+            Atom("W")
+    assert (Atom, "W") not in syntax._NODES
+    with pytest.raises(TypeError):
+        Not()
+    with pytest.raises(TypeError):
+        Not(p, extra=q)
+
+
+def test_every_producer_returns_the_constructed_node():
+    p, q = Atom("p"), Atom("q")
+    built = Imp(W(And(p, Not(q))), IR(p))
+    assert parse("W (p & ~q) -> IR p") is built
+    assert substitute(parse("W (r & ~q) -> IR r"), {"r": p}) is built
+    assert w_to_ri(parse("W (p & ~q)")) is And(IR(And(p, Not(q))), Not(And(p, Not(q))))
+    by_text = {print_formula(f): f for f in enumerate_formulas(("p", "q"), 1, 4)}
+    assert by_text["W (p & q)"] is W(And(p, q)) and by_text["~~p"] is Not(Not(p))
 
 
 @given(formulas)
@@ -237,8 +273,6 @@ def test_measures_bounds(f):
 
 
 def test_print_injective_on_corpus():
-    from doxa.oracle import enumerate_formulas
-
     corpus = enumerate_formulas(("p", "q"), 2, 6)
     printed = [print_formula(f) for f in corpus]
     assert len(set(printed)) == len(corpus)

@@ -48,6 +48,16 @@ def test_ri_to_w_examples():
         ri_to_w(parse("B p"))
 
 
+def test_each_direction_rewrites_a_node_by_its_own_rule():
+    # Each direction caches its rewrites; a node rewritten by one is not
+    # taken from the other's cache.
+    ir, w = parse("IR p"), parse("W p")
+    assert w_to_ri(ir) is ir and ri_to_w(ir) is parse("W p | W ~p")
+    assert w_to_ri(w) is parse("IR p & ~p")
+    with pytest.raises(LanguageError):
+        ri_to_w(w)
+
+
 @pytest.mark.parametrize(
     "rewrite, text, message",
     [

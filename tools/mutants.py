@@ -68,13 +68,38 @@ MUTANTS = [
         "stack += children(g)",
         ["tests/test_hilbert.py"],
     ),
-    # The one W/IR rewrite; RI-4 is built by it.
+    # One node per structure: the intern key, the table and the copies.
+    ("intern-key-without-class", SYNTAX, "key = (cls, *args)", "key = args", ["tests/test_syntax.py"]),
+    (
+        "atom-tabled-before-validation",
+        SYNTAX,
+        "cls._validate(*args)\n            node = object.__new__(cls)",
+        "node = _NODES[key] = object.__new__(cls)\n            cls._validate(*args)",
+        ["tests/test_syntax.py"],
+    ),
+    (
+        "reduce-drops-a-field",
+        SYNTAX,
+        "tuple(getattr(self, name) for name in self.__match_args__)",
+        "tuple(getattr(self, name) for name in self.__match_args__[1:])",
+        ["tests/test_syntax.py"],
+    ),
+    # The one W/IR rewrite, one cache per direction; RI-4 is built by it.
     (
         "rewrite-op-unwrapped",
         TRANSFORM,
-        "return wrap(inner) if isinstance(f, op) else type(f)(inner)",
-        "return type(f)(inner)",
+        "if isinstance(f, op):\n            return wrap(*parts)",
+        "if isinstance(f, op):\n            return type(f)(*parts)",
         ["tests/test_transform.py", "tests/test_hilbert.py"],
+    ),
+    (
+        "rewrite-cache-shared-by-both-directions",
+        TRANSFORM,
+        "    @cache\n    def rewrite(f: Formula) -> Formula:",
+        # one table, kept on the factory, keyed on the node alone
+        '    @lambda fn, done=_rewriter.__dict__.setdefault("done", {}): lambda f: done[f] if f in done else done.setdefault(f, fn(f))\n'
+        "    def rewrite(f: Formula) -> Formula:",
+        ["tests/test_transform.py"],
     ),
     # The truth-table column of a biconditional.
     (
