@@ -7,7 +7,8 @@ isomorphism class, the canonical one: the mask that no relabelling of
 the states makes smaller.  Frame classes and truth are invariant under
 relabelling, so the least frame with a countermodel is canonical, and
 the search returns the witness of a scan of every labeled frame, with
-that scan's counts.  Batteries visit every labeled frame.  A
+that scan's counts.  Batteries visit the canonical frames too, and count
+the items of every labeled frame by circuits over the edge bits.  A
 countermodel verdict is conclusive invalidity; the absence of one is
 evidence only and is always reported with its budget.
 
@@ -151,30 +152,34 @@ def model_at(frame: Frame, atoms: tuple[str, ...], index: int) -> Model:
 # frames are streamed, so 5 states (2^25 masks) fits in memory.
 _BLOCK_BITS = 16
 
+# A block of ``_class_blocks``: members, lack strings and edge columns.
+_Block = tuple[int, tuple[str, ...], tuple[tuple[int, ...], ...]]
 
-def _class_blocks(
-    fc: FrameClass, k: int, canonical: bool = False
-) -> Iterator[tuple[int, tuple[str, ...]]]:
+
+def _class_blocks(fc: FrameClass, k: int, canonical: bool = False) -> Iterator[_Block]:
     """The ``k``-state members of ``fc``, block by block, skipping blocks
     without one: the block's member bitset (bit ``m`` for the ``m``-th mask
-    of the block; ``m`` is the mask's low ``_BLOCK_BITS`` bits) and, per
-    edge ``e = i*k + j``, a string with one character per frame to pack,
-    ``"1"`` where the frame lacks the edge, last frame first.
+    of the block; ``m`` is the mask's low ``_BLOCK_BITS`` bits), per
+    edge ``e = i*k + j`` a string with one character per frame to pack,
+    ``"1"`` where the frame lacks the edge, last frame first, and the
+    block's edge columns ``x[i][j]``.
 
     Membership is the class circuit (``FrameClass.members``) over the edge
-    columns ``atom_column(e, 1, 2^(k*k))``: bit ``m`` is set iff mask ``m``
-    has edge ``e``.  The frames to pack are the members, or with
-    ``canonical`` only those that are the least mask of their isomorphism
-    class (``_canonical`` over the edge columns of the members).
+    columns: bit ``m`` of ``x[i][j]`` is set iff mask ``m`` of the block
+    has edge ``e``, so the columns of the high edges are all ones or all
+    zeros.  The frames to pack are the members, or with ``canonical`` only
+    those that are the least mask of their isomorphism class
+    (``_canonical`` over the edge columns of the members).
     """
     width = k * k
     low = min(width, _BLOCK_BITS)
     size = 1 << low
     full = (1 << size) - 1
-    low_cols = [atom_column(e, 1, size) for e in range(low)]
+    low_cols = [_atom_column(e, 1, size) for e in range(low)]
     for block in range(1 << (width - low)):
         cols = low_cols + [full if (block >> (e - low)) & 1 else 0 for e in range(low, width)]
-        members = fc.members([cols[i * k : (i + 1) * k] for i in range(k)], full)
+        x = tuple(tuple(cols[i * k : (i + 1) * k]) for i in range(k))
+        members = fc.members(x, full)
         if not members:
             continue
         lack = _compress((format(full ^ col, f"0{size}b") for col in cols), members, size)
@@ -182,7 +187,7 @@ def _class_blocks(
             n = members.bit_count()
             everyone = (1 << n) - 1
             lack = _compress(lack, _canonical(k, [everyone ^ int(e, 2) for e in lack], everyone), n)
-        yield members, lack
+        yield members, lack, x
 
 
 def _compress(digits: Iterable[str], keep: int, size: int) -> tuple[str, ...]:
@@ -236,16 +241,22 @@ def _canonical(k: int, has: Sequence[int], full: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _class_blocks_cached(
-    fc: FrameClass, k: int, canonical: bool
-) -> tuple[tuple[int, tuple[str, ...]], ...]:
+def _class_blocks_cached(fc: FrameClass, k: int, canonical: bool) -> tuple[_Block, ...]:
     """``_class_blocks`` kept for frames of up to 4 states: one block each."""
     return tuple(_class_blocks(fc, k, canonical))
 
 
-def _blocks(fc: FrameClass, k: int, canonical: bool = False) -> Iterable[tuple[int, tuple[str, ...]]]:
+def _blocks(fc: FrameClass, k: int, canonical: bool = False) -> Iterable[_Block]:
     """``_class_blocks``, from the cache up to 4 states."""
     return _class_blocks_cached(fc, k, canonical) if k <= 4 else _class_blocks(fc, k, canonical)
+
+
+def _members_below(members: int, chunk: "FrameChunk", slot: int) -> int:
+    """The members of a block whose masks lie below that of the frame in
+    ``slot`` of one of its chunks: those a scan of every labeled member
+    meets before that frame."""
+    low = chunk.mask(slot) & ((1 << _BLOCK_BITS) - 1)  # the frame's bit in the block
+    return members & ((1 << low) - 1)
 
 
 def _slot_bits(chars: str, k: int) -> int:
@@ -274,13 +285,6 @@ def _pack(k: int, lack: tuple[str, ...], rows: int) -> Iterator["FrameChunk"]:
         end = n - start  # frame ``start`` is character ``end - 1``
         lacks = tuple(_slot_bits(e[max(end - slots, 0) : end], k) for e in lack)
         yield FrameChunk(k, slots, min(slots, end), lacks)
-
-
-def _class_chunks(fc: FrameClass, k: int, rows: int) -> Iterator["FrameChunk"]:
-    """Every ``k``-state member of ``fc`` (labeled, not reduced) in
-    ascending mask order, packed by ``_pack``."""
-    for _, lack in _blocks(fc, k):
-        yield from _pack(k, lack, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +588,7 @@ def _search(
     for k in range(1, budget.max_states + 1):
         valuations = 1 << (k * len(val_atoms))
         seen = 0  # labeled members of size k, as a scan of every member counts them
-        for members, lack in _blocks(fc, k, canonical=True):
+        for members, lack, _ in _blocks(fc, k, canonical=True):
             for chunk in _pack(k, lack, valuations):
                 ev = FrameEvaluator(chunk, val_atoms, aux=aux)
                 row = ev.least_row(ev.full ^ ev.columns(f))
@@ -592,9 +596,8 @@ def _search(
                     continue
                 # Relabelling keeps both the class and the verdict, so the
                 # least member with a countermodel is canonical: the scan
-                # would stop here, after the members at or below its mask.
-                low = chunk.mask(row[0] % chunk.slots) & ((1 << _BLOCK_BITS) - 1)
-                seen += members.bit_count() - (members >> (low + 1)).bit_count()
+                # would stop at it, after the members below its mask.
+                seen += _members_below(members, chunk, row[0] % chunk.slots).bit_count() + 1
                 model, state = ev.witness(row)
                 check = (
                     semantics.evaluate_aux if aux else semantics.evaluate
@@ -775,21 +778,39 @@ class BatteryReport:
 
 
 def run_battery(
-    name: str, fc: FrameClass, max_states: int, atoms: tuple[str, ...], check: Callable
+    name: str, fc: FrameClass, max_states: int, atoms: tuple[str, ...], check: Callable, items: Callable
 ) -> BatteryReport:
-    """The one battery loop, over the chunks of the members of ``fc``
-    packed for the valuations of ``atoms``.  ``check(chunk)`` gives the
-    item count of each slot and the first failure ``(slot, item index in
-    the slot, text)`` or None.  The count is a scan's, frame by frame and
-    item by item; padding slots are not counted."""
+    """The one battery loop, over the chunks of the canonical members of
+    ``fc`` packed for the valuations of ``atoms``, as ``_search`` reads
+    them.  ``check(chunk)`` gives the first failure ``(slot, item index in
+    the slot, text)`` or None.  ``items(x, members)`` gives the items of a
+    block's frames as ``(weight, bits)`` pairs over its edge columns
+    ``x[i][j]``: each frame with its bit set in ``bits`` holds ``weight``
+    items, and a frame holds the sum over the pairs.
+
+    The count is a scan's, frame by frame and item by item, over every
+    labeled member: on a pass, the items of all members; on a failure, the
+    items of the members below the failing mask, then the failing frame's
+    up to the failing item.  For code that commutes with relabelling the
+    failing frames are closed under it, so the least one is canonical, and
+    the report is that scan's."""
     checked = 0
     for k in range(1, max_states + 1):
-        for chunk in _class_chunks(fc, k, 1 << (k * len(atoms))):
-            counts, failure = check(chunk)
-            if failure is not None:
-                return BatteryReport(name, checked + sum(counts[: failure[0]]) + failure[1] + 1, failure[2])
-            checked += sum(counts[: chunk.live])
+        for members, lack, x in _blocks(fc, k, canonical=True):
+            weights = items(x, members)
+            for chunk in _pack(k, lack, 1 << (k * len(atoms))):
+                failure = check(chunk)
+                if failure is not None:
+                    slot, n, text = failure
+                    checked += _weigh(weights, _members_below(members, chunk, slot))
+                    return BatteryReport(name, checked + n + 1, text)
+            checked += _weigh(weights, members)
     return BatteryReport(name, checked)
+
+
+def _weigh(weights: Iterable[tuple[int, int]], frames: int) -> int:
+    """The items of the frames set in ``frames``, by ``(weight, bits)`` pairs."""
+    return sum(w * (bits & frames).bit_count() for w, bits in weights)
 
 
 def wrong_false_at_reflexive(
@@ -802,13 +823,14 @@ def wrong_false_at_reflexive(
 
     def check(chunk: FrameChunk):
         k, slots, ev = chunk.k, chunk.slots, FrameEvaluator(chunk, budget.atoms)
-        loops = [row[i] for i, row in enumerate(chunk.edges)]  # the slots with the loop i -> i
         # State i counts in the rows whose slot has the loop i -> i.
-        keep = sum(_replicate(has, slots * k, ev.rows // slots) << i for i, has in enumerate(loops))
-        hit = ev.first_failure(
+        keep = sum(_replicate(row[i], slots * k, ev.rows // slots) << i for i, row in enumerate(chunk.edges))
+        return ev.first_failure(
             (c & keep for c in ev.each_column(wrapped, last)),
             lambda n, at: f"{print_formula(wrapped[n])} true at reflexive state {at}",
         )
-        return [len(wrapped) * has for has in chunk.masks([reduce(or_, loops)])], hit
 
-    return run_battery("wrong-false-at-reflexive", ALL_FRAMES, max_states, budget.atoms, check)
+    def items(x, members):  # the frames with a loop
+        return [(len(wrapped), reduce(or_, (row[i] for i, row in enumerate(x))))]
+
+    return run_battery("wrong-false-at-reflexive", ALL_FRAMES, max_states, budget.atoms, check, items)

@@ -15,8 +15,9 @@ formulas, as in a corpus, is rewritten once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterable, Iterator
+from functools import cache, reduce
+from operator import and_, or_
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import oracle, semantics
 from .oracle import FrameChunk, FrameEvaluator, SearchBudget, VerdictReport
@@ -208,7 +209,7 @@ def verify_preservation(
 
 def _preservation_battery(
     name: str, max_states: int, budget: SearchBudget, admits: FrameClass,
-    constructions: Callable[[Frame], Iterable[tuple[str | None, Frame]]],
+    constructions: Callable[[Frame], Iterable[tuple[str | None, Frame]]], count: Callable,
     keeps: FrameClass, lost: str,
 ) -> oracle.BatteryReport:
     """Over every frame in ``admits``: each ``(root, built)`` construction
@@ -218,7 +219,9 @@ def _preservation_battery(
     The ``(frame, built)`` items of each chunk of admitted frames are
     packed slot by slot into two chunks, so a corpus formula is evaluated
     once per side and pack, and the ``keeps`` circuit classes the built
-    frames of a pack in the same pass; a case is one item."""
+    frames of a pack in the same pass; a case is one item, and ``count``
+    is ``run_battery``'s ``items``: the number of constructions of each
+    frame."""
     corpus = oracle.corpus_for(budget)
     last = oracle.last_uses(corpus)
 
@@ -226,7 +229,6 @@ def _preservation_battery(
         frames = [oracle.frame_of_mask(chunk.k, mask) for mask in chunk.masks()]
         made = [list(constructions(frame)) for frame in frames]  # the (root, built) items of each slot
         items = [(t, n, root, built) for t, pairs in enumerate(made) for n, (root, built) in enumerate(pairs)]
-        counts = [len(pairs) for pairs in made]
         for start in range(0, len(items), chunk.slots):
             slots, ns, roots, built = zip(*items[start : start + chunk.slots])
             packed = FrameChunk.of(built, chunk.slots)
@@ -237,13 +239,13 @@ def _preservation_battery(
             changes = (a ^ b for a, b in zip(ev.each_column(corpus, last), ev_built.each_column(corpus, last)))
             hit = ev.first_failure(changes, lambda n, at: f"{print_formula(corpus[n])} changes truth at {at}")
             if hit is not None and hit[0] < cut:
-                return counts, (slots[hit[0]], ns[hit[0]], hit[2])
+                return slots[hit[0]], ns[hit[0]], hit[2]
             if cut < len(kept):  # a lost property fails before its item's truth is compared
                 frame = semantics.dump_model(Model(frames[slots[cut]]))
-                return counts, (slots[cut], ns[cut], lost.format(frame=frame, root=roots[cut]))
-        return counts, None
+                return slots[cut], ns[cut], lost.format(frame=frame, root=roots[cut])
+        return None
 
-    return oracle.run_battery(name, admits, max_states, budget.atoms, check)
+    return oracle.run_battery(name, admits, max_states, budget.atoms, check, count)
 
 
 def closure_battery(
@@ -255,6 +257,7 @@ def closure_battery(
         "euclidean-closure", max_states, budget,
         frame_class("secondarily-reflexive"),
         lambda frame: [(None, euclidean_closure(Model(frame)).frame)],
+        lambda x, members: [(1, members)],
         frame_class("euclidean"), "closure of {frame} not Euclidean",
     )
 
@@ -266,6 +269,21 @@ def _rooted_augmentations(frame: Frame) -> Iterator[tuple[str, Frame]]:
             yield root, cone_augment(base, root).frame
 
 
+def _generating_roots(x: Sequence[Sequence[int]], members: int) -> list[tuple[int, int]]:
+    """The count of ``_rooted_augmentations``: one ``(1, bits)`` per root
+    ``r``, bit ``m`` set iff member ``m`` is generated by ``r``.  Each
+    round extends the paths from ``r`` by one edge, and a state reachable
+    from ``r`` is reachable in ``k - 1`` edges."""
+    k = len(x)
+    out = []
+    for r in range(k):
+        reach = [members if j == r else 0 for j in range(k)]  # bit m: state j is reachable in frame m
+        for _ in range(k - 1):
+            reach = [reduce(or_, (reach[i] & x[i][j] for i in range(k)), reach[j]) for j in range(k)]
+        out.append((1, reduce(and_, reach)))
+    return out
+
+
 def cone_battery(
     max_states: int = 4, budget: SearchBudget = SearchBudget(atoms=("p",))
 ) -> oracle.BatteryReport:
@@ -275,6 +293,7 @@ def cone_battery(
         "cone-augment", max_states, budget,
         frame_class("transitive+secondarily-reflexive"),
         _rooted_augmentations,
+        _generating_roots,
         frame_class("transitive+euclidean"),
         "augmentation of {frame} at {root} lost transitivity or Euclideanness",
     )
@@ -298,7 +317,6 @@ def submodel_property_battery(max_states: int = 4) -> oracle.BatteryReport:
         k, every, edges = chunk.k, chunk.every, chunk.edges
         held = [frame_class(p).members(edges, every) for p in _SUBMODEL_PROPERTIES]  # bit t*k: slot t has p
         props = chunk.masks(held)  # bit b: property b
-        counts = [k if bits else 0 for bits in props]
         for t, (mask, bits) in enumerate(zip(chunk.masks(), props)):
             if not bits:
                 continue
@@ -307,11 +325,13 @@ def submodel_property_battery(max_states: int = 4) -> oracle.BatteryReport:
                 sub = generated_submodel(base, root).frame
                 for b, p in enumerate(_SUBMODEL_PROPERTIES):
                     if bits >> b & 1 and sub != base.frame and not has_property(sub, p):
-                        text = f"{p} lost by the submodel of {semantics.dump_model(base)} at {root}"
-                        return counts, (t, n, text)
-        return counts, None
+                        return t, n, f"{p} lost by the submodel of {semantics.dump_model(base)} at {root}"
+        return None
 
-    return oracle.run_battery("generated-submodel-properties", ALL_FRAMES, max_states, (), check)
+    def items(x, members):  # each root of a frame with any of the properties
+        return [(len(x), reduce(or_, (frame_class(p).members(x, members) for p in _SUBMODEL_PROPERTIES)))]
+
+    return oracle.run_battery("generated-submodel-properties", ALL_FRAMES, max_states, (), check, items)
 
 
 def translation_battery(
@@ -332,10 +352,11 @@ def translation_battery(
     def check(chunk: FrameChunk):
         ev = FrameEvaluator(chunk, budget.atoms)
         cols = ev.each_column(flat, last)
-        hit = ev.first_failure(
+        return ev.first_failure(
             (a ^ b for a, b in zip(cols, cols)),
             lambda n, at: f"{print_formula(pairs[n][0])} vs {print_formula(pairs[n][1])} differ at {at}",
         )
-        return [len(pairs)] * chunk.live, hit
 
-    return oracle.run_battery(f"translation-{direction}", ALL_FRAMES, max_states, budget.atoms, check)
+    return oracle.run_battery(
+        f"translation-{direction}", ALL_FRAMES, max_states, budget.atoms, check, lambda x, members: [(len(pairs), members)]
+    )

@@ -1,21 +1,37 @@
 """The frame-packed batteries against one-frame reference loops.
 
-The references below scan every frame, item by item, with a one-frame
-evaluator (the generated-submodel reference with ``has_property``).  The
-packed batteries, which all run through ``oracle.run_battery``, must
+The references below scan every labeled frame, item by item, with a
+one-frame evaluator (the generated-submodel reference with
+``has_property``).  The batteries all run through ``oracle.run_battery``,
+which checks one frame per isomorphism class and counts the items of
+every labeled frame by circuits over a block's edge columns.  They must
 give the same report (name, ``items_checked`` and failure text) under
 injected faults and under column budgets that put a failure in a later
-slot, a later chunk or a padded last chunk.
+slot, a later chunk or a padded last chunk.  A fault that commutes with
+relabelling must fail as the references do; one tied to state labels
+must do so under ``every_frame_canonical``, which makes the same loop
+check every labeled frame.  The count circuits are checked against the
+code whose items they count, and against blocks smaller than a size.
 """
 
+import json
 from contextlib import contextmanager
+from functools import reduce
+from operator import or_
 
 import pytest
 
 from doxa import oracle, transform
-from doxa.oracle import BatteryReport, FrameEvaluator, SearchBudget, frames_up_to, wrong_false_at_reflexive
-from doxa.semantics import ALL_FRAMES, Frame, FrameClass, Model, dump_model, frame_class, has_property
-from doxa.syntax import IR, And, Atom, Not, Or, W, parse, print_formula
+from doxa.oracle import (
+    BatteryReport,
+    FrameEvaluator,
+    SearchBudget,
+    frame_of_mask,
+    frames_up_to,
+    wrong_false_at_reflexive,
+)
+from doxa.semantics import ALL_FRAMES, Frame, FrameClass, Model, dump_model, frame_class, has_property, load_model
+from doxa.syntax import IR, And, Atom, Not, Or, W, parse, print_formula, size
 from doxa.transform import closure_battery, cone_battery, submodel_property_battery, translation_battery
 
 ONE_ATOM = SearchBudget(atoms=("p",))
@@ -68,7 +84,7 @@ def reference_translation_battery(direction, max_states, budget=ONE_ATOM):
     return BatteryReport(name, checked)
 
 
-def reference_preservation_battery(name, max_states, budget, admits, constructions, keeps, lost):
+def reference_preservation_battery(name, max_states, budget, admits, constructions, count, keeps, lost):
     corpus = oracle.corpus_for(budget)
     checked = 0
     for frame in frames_up_to(max_states):
@@ -208,6 +224,13 @@ def _chunk_budget(bits):
         oracle._CHUNK_BITS = saved
 
 
+def _class_chunks(fc, k, rows):
+    """Every ``k``-state member of ``fc`` (labeled, not reduced) in
+    ascending mask order, packed by ``oracle._pack``."""
+    for _, lack, _ in oracle._blocks(fc, k):
+        yield from oracle._pack(k, lack, rows)
+
+
 # Column budgets: 64 bits puts 2-state frames four to a chunk and
 # 3-state frames one to a chunk, 512 puts 3-state frames eight to a
 # chunk, and the default packs each size into one chunk.
@@ -220,6 +243,32 @@ def _same_report(monkeypatch, battery, *args):
         with _chunk_budget(bits):
             assert battery(*args) == want, bits
     return want
+
+
+@contextmanager
+def _all_canonical():
+    """Every frame counts as the canonical one of its isomorphism class,
+    so the batteries check every labeled member."""
+    oracle._class_blocks_cached.cache_clear()
+    saved, oracle._canonical = oracle._canonical, lambda k, has, full: full
+    try:
+        yield
+    finally:
+        oracle._canonical = saved
+        oracle._class_blocks_cached.cache_clear()
+
+
+@pytest.fixture
+def every_frame_canonical():
+    """Faults tied to state labels (``_edge_fault``, ``_box_skipping_loops``
+    from a state on) do not commute with relabelling, so a battery that
+    checks one frame per isomorphism class need not meet their first
+    failure; one that checks every labeled frame must."""
+    with _all_canonical():
+        yield
+
+
+labeled = pytest.mark.usefixtures("every_frame_canonical")
 
 
 # --- the packed batteries equal the references --------------------------------
@@ -249,6 +298,7 @@ def test_reflexive_battery_matches_the_reference(monkeypatch):
     assert _same_report(monkeypatch, wrong_false_at_reflexive, 3).passed
 
 
+@labeled
 @pytest.mark.parametrize("from_state", [0, 1, 2])
 def test_box_skipping_loops_fails_as_the_reference_does(monkeypatch, from_state):
     monkeypatch.setattr(FrameEvaluator, "_box", _box_skipping_loops(from_state))
@@ -261,6 +311,7 @@ def test_construction_batteries_match_the_reference(monkeypatch, battery):
     assert _same_report(monkeypatch, battery, 3).passed
 
 
+@labeled
 @pytest.mark.parametrize(
     "battery, construction",
     [(closure_battery, "euclidean_closure"), (cone_battery, "cone_augment")],
@@ -275,6 +326,7 @@ def test_edge_faults_fail_as_the_reference_does(monkeypatch, battery, constructi
 # Dropping s2 -> s1 from the closure of every mask 18 mod 19 first changes
 # truth at item 41; the second fault first loses Euclideanness at item 73
 # (after it) or 31 (before it).  Each size is one chunk by default.
+@labeled
 @pytest.mark.parametrize(
     "lost, checked, first",
     [((23, (0, 1), True), 41, "changes truth"), ((11, (1, 0), False), 31, "not Euclidean")],
@@ -286,6 +338,7 @@ def test_lost_property_is_ordered_against_earlier_items(monkeypatch, lost, check
     assert report.items_checked == checked and first in report.failure
 
 
+@labeled
 def test_box_skipping_loops_breaks_the_constructions_as_the_reference_does(monkeypatch):
     monkeypatch.setattr(FrameEvaluator, "_box", _box_skipping_loops(1))
     for battery in (closure_battery, cone_battery):
@@ -296,6 +349,7 @@ def _no_contains(self, frame):
     raise AssertionError("FrameClass.contains called")
 
 
+@labeled
 @pytest.mark.parametrize(
     "battery, construction",
     [(closure_battery, "euclidean_closure"), (cone_battery, "cone_augment")],
@@ -317,12 +371,13 @@ def _slots_of(fc, max_states, atoms=("p",)):
     ``max_states`` states, in battery order."""
     out = []
     for k in range(1, max_states + 1):
-        chunks = list(oracle._class_chunks(fc, k, 1 << (k * len(atoms))))
+        chunks = list(_class_chunks(fc, k, 1 << (k * len(atoms))))
         for n, chunk in enumerate(chunks):
             out += [(n, t, chunk.live < chunk.slots) for t in range(chunk.live)]
     return out
 
 
+@labeled
 def test_failures_land_in_later_slots_and_chunks(monkeypatch):
     # With 512-bit columns the faults above fail past slot 0, in a later
     # chunk, and in a padded last chunk; the differential tests run them.
@@ -361,6 +416,7 @@ def test_submodel_battery_matches_the_reference(monkeypatch):
     assert _same_report(monkeypatch, submodel_property_battery, 3).passed
 
 
+@labeled
 def test_submodel_fault_fails_as_the_reference_does(monkeypatch):
     fault = _edge_fault(transform.generated_submodel, 13, (1, 1), False)
     monkeypatch.setattr(transform, "generated_submodel", fault)
@@ -369,15 +425,16 @@ def test_submodel_fault_fails_as_the_reference_does(monkeypatch):
 
 @pytest.mark.parametrize("bits", BUDGETS)
 def test_padding_slots_are_not_counted(bits):
-    # Every slot of every chunk reports two items, the padding slots of a
-    # padded last chunk too; only the live slots count.
+    # Every member holds two items; the padding slots of a padded last
+    # chunk are no members, so they do not count.
     euclidean = frame_class("euclidean")
     with _chunk_budget(bits):
-        assert any(c.live < c.slots for k in (2, 3) for c in oracle._class_chunks(euclidean, k, 1 << k))
-        report = oracle.run_battery("two", euclidean, 3, ("p",), lambda chunk: ([2] * chunk.slots, None))
+        assert any(c.live < c.slots for k in (2, 3) for c in _class_chunks(euclidean, k, 1 << k))
+        report = oracle.run_battery("two", euclidean, 3, ("p",), lambda chunk: None, lambda x, members: [(2, members)])
     assert report == BatteryReport("two", 2 * sum(map(euclidean.contains, frames_up_to(3))))
 
 
+@labeled
 def test_submodel_battery_names_the_first_lost_property(monkeypatch):
     # Dropping s2 -> s2 from the submodels of every mask 12 mod 13 first
     # loses Euclideanness at the 413th (frame, root) case.
@@ -387,3 +444,187 @@ def test_submodel_battery_names_the_first_lost_property(monkeypatch):
     assert submodel_property_battery(3) == BatteryReport(
         "generated-submodel-properties", 413, f"euclidean lost by the submodel of {dump_model(frame)} at s1"
     )
+
+
+# --- faults that commute with relabelling ----------------------------------------
+# Each fault reads only what a relabelling keeps (the number of edges, the
+# successors of a root, whether a root generates the frame, the size of a
+# formula), so its failing frames are closed under relabelling and the
+# batteries, which check one frame per isomorphism class, meet the first
+# failure of a scan of every labeled frame.
+
+
+def _idle_on_four_edges(closure):
+    """The closure, which returns its input when the frame has 4 edges."""
+    return lambda m: m if len(m.frame.relation) == 4 else closure(m)
+
+
+def _idle_at_two_successors(augment):
+    """The cone augmentation, which returns its input at a root with 2 successors."""
+    return lambda m, root: m if len(m.frame.successors(root)) == 2 else augment(m, root)
+
+
+def _edgeless_on_five_edges(submodel):
+    """The generated submodel, which drops its edges when the frame has 5
+    edges and the root does not generate it."""
+
+    def broken(m, root):
+        sub = submodel(m, root)
+        if len(m.frame.relation) == 5 and sub.frame != m.frame:
+            return Model(Frame(sub.frame.states, frozenset()), sub.valuation)
+        return sub
+
+    return broken
+
+
+def _negating_size_six(rewrite):
+    """The rewrite, which negates its result on formulas of size 6."""
+    return lambda f: Not(rewrite(f)) if size(f) == 6 else rewrite(f)
+
+
+_BATTERIES = {
+    "reflexive": (wrong_false_at_reflexive, (3,)),
+    "w2ri": (translation_battery, ("w2ri", 3)),
+    "ri2w": (translation_battery, ("ri2w", 3)),
+    "roundtrip": (translation_battery, ("roundtrip", 3)),
+    "closure": (closure_battery, (3,)),
+    "cone": (cone_battery, (3,)),
+    "submodel": (submodel_property_battery, (3,)),
+}
+
+# (battery, where the fault goes, the fault of the original)
+_INVARIANT_FAULTS = {
+    "box-skipping-every-loop": ("reflexive", FrameEvaluator, "_box", lambda box: _box_skipping_loops(0)),
+    "w2ri-negating-size-six": ("w2ri", transform, "w_to_ri", _negating_size_six),
+    "ri2w-negating-size-six": ("ri2w", transform, "ri_to_w", _negating_size_six),
+    "roundtrip-negating-size-six": ("roundtrip", transform, "w_to_ri", _negating_size_six),
+    "closure-idle-on-four-edges": ("closure", transform, "euclidean_closure", _idle_on_four_edges),
+    "cone-idle-at-two-successors": ("cone", transform, "cone_augment", _idle_at_two_successors),
+    "submodel-edgeless-on-five-edges": ("submodel", transform, "generated_submodel", _edgeless_on_five_edges),
+}
+
+
+def _inject(monkeypatch, fault):
+    """Put ``fault`` of ``_INVARIANT_FAULTS`` in place; its battery and args."""
+    name, target, attr, make = _INVARIANT_FAULTS[fault]
+    monkeypatch.setattr(target, attr, make(getattr(target, attr)))
+    return _BATTERIES[name]
+
+
+def _failing_mask(report):
+    """The relation mask of the frame a battery failure names."""
+    text = report.failure
+    doc, _ = json.JSONDecoder().raw_decode(text, text.index("{"))
+    return _mask(load_model(json.dumps(doc))[0].frame)
+
+
+@pytest.mark.parametrize("name", _BATTERIES)
+def test_reduced_batteries_match_the_labeled_scan(name):
+    battery, args = _BATTERIES[name]
+    report = battery(*args)
+    with _all_canonical():
+        assert battery(*args) == report
+    assert report.passed
+
+
+@pytest.mark.parametrize("fault", _INVARIANT_FAULTS)
+def test_invariant_faults_fail_as_the_labeled_scan_does(monkeypatch, fault):
+    # The reduced report equals the one-frame reference and the labeled
+    # scan field by field, under every column budget.
+    battery, args = _inject(monkeypatch, fault)
+    want = _same_report(monkeypatch, battery, *args)
+    with _all_canonical():
+        assert battery(*args) == want
+    assert not want.passed
+
+
+# --- the item counts are circuits over a block's edge columns -------------------
+
+
+def _spy(monkeypatch, module, name):
+    """The argument tuples of the calls to ``module.name``, which is not run."""
+    calls = []
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args))
+    return calls
+
+
+def _per_frame(weights, size):
+    """The items of frames ``0 .. size - 1`` by ``(weight, bits)`` pairs."""
+    out = [0] * size
+    for w, bits in weights:
+        for m, bit in enumerate(reversed(format(bits & ((1 << size) - 1), f"0{size}b"))):
+            out[m] += w * (bit == "1")
+    return out
+
+
+def _every_block(k):
+    """The members and edge columns of the one block of all ``k``-state frames."""
+    (members, _, x), = oracle._blocks(ALL_FRAMES, k)
+    return members, x
+
+
+@pytest.mark.parametrize("battery", [closure_battery, cone_battery])
+def test_construction_counts_are_the_numbers_of_constructions(monkeypatch, battery):
+    # On every frame of up to 4 states, admitted or not: the cone circuit
+    # is the number of rooted augmentations, and the closure has one item.
+    calls = _spy(monkeypatch, transform, "_preservation_battery")
+    battery(4)
+    (*_, constructions, count, _, _), = calls
+    for k in range(1, 5):
+        members, x = _every_block(k)
+        got = _per_frame(count(x, members), 1 << (k * k))
+        assert got == [len(list(constructions(frame_of_mask(k, m)))) for m in range(1 << (k * k))], k
+
+
+def test_reflexive_and_submodel_counts_are_the_slot_counts_of_a_scan(monkeypatch):
+    # The counts the batteries' checks gave per slot when they scanned
+    # every labeled frame, from the loops and the class circuits over
+    # each chunk's edge columns.
+    calls = _spy(monkeypatch, oracle, "run_battery")
+    wrong_false_at_reflexive(4)
+    submodel_property_battery(4)
+    (*_, reflexive), (*_, submodel) = calls
+    n = len(oracle.corpus_for(ONE_ATOM))
+    for k in range(1, 5):
+        members, x = _every_block(k)
+        want_reflexive, want_submodel = [], []
+        for chunk in _class_chunks(ALL_FRAMES, k, 1):
+            edges = chunk.edges
+            loops = reduce(or_, (row[i] for i, row in enumerate(edges)))
+            held = [frame_class(p).members(edges, chunk.every) for p in transform._SUBMODEL_PROPERTIES]
+            want_reflexive += [n * has for has in chunk.masks([loops])]
+            want_submodel += [k if bits else 0 for bits in chunk.masks(held)]
+        assert _per_frame(reflexive(x, members), 1 << (k * k)) == want_reflexive, k
+        assert _per_frame(submodel(x, members), 1 << (k * k)) == want_submodel, k
+
+
+# --- more than one block per size -----------------------------------------------
+
+
+@contextmanager
+def _block_bits(bits):
+    """Blocks of ``2^bits`` masks, so the frames of a size above ``bits``
+    edges span several blocks, whose high edge columns are constant."""
+    oracle._class_blocks_cached.cache_clear()
+    saved, oracle._BLOCK_BITS = oracle._BLOCK_BITS, bits
+    try:
+        yield
+    finally:
+        oracle._BLOCK_BITS = saved
+        oracle._class_blocks_cached.cache_clear()
+
+
+def test_passing_counts_do_not_depend_on_the_blocks():
+    want = [battery(*args) for battery, args in _BATTERIES.values()]
+    with _block_bits(4):
+        assert len(oracle._blocks(ALL_FRAMES, 3)) == 32
+        assert [battery(*args) for battery, args in _BATTERIES.values()] == want
+
+
+@pytest.mark.parametrize("fault", ["closure-idle-on-four-edges", "submodel-edgeless-on-five-edges"])
+def test_failures_in_later_blocks_count_every_labeled_item(monkeypatch, fault):
+    battery, args = _inject(monkeypatch, fault)
+    want = _reference(monkeypatch, battery, *args)
+    assert _failing_mask(want) >= 16  # past the first block of 16 masks
+    with _block_bits(4):
+        assert battery(*args) == want

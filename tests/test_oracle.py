@@ -580,6 +580,13 @@ def _chunk_budget(bits):
         oracle._CHUNK_BITS = saved
 
 
+def _class_chunks(fc, k, rows):
+    """Every ``k``-state member of ``fc`` (labeled, not reduced) in
+    ascending mask order, packed by ``oracle._pack``."""
+    for _, lack, _ in oracle._blocks(fc, k):
+        yield from oracle._pack(k, lack, rows)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     _formulas(W, Box, IR, FI),
@@ -619,7 +626,7 @@ def test_packed_columns_match_one_frame_columns(f, fc, k, aux, bits):
     atoms = ("p", "q")
     valuations = 1 << (k * len(atoms))
     with _chunk_budget(bits):
-        chunks = list(oracle._class_chunks(fc, k, valuations))
+        chunks = list(_class_chunks(fc, k, valuations))
     members = [m for m in range(1 << (k * k)) if fc.contains(frame_of_mask(k, m))]
     assert [c.mask(t) for c in chunks for t in range(c.live)] == members
     state = (1 << k) - 1
@@ -677,7 +684,7 @@ def test_five_state_members_stream_in_mask_order():
     # Above 4 states members come in blocks of 2^16 masks; check the first
     # chunks of the first block against the first-order filter.
     for fc in (frame_class("all"), frame_class("symmetric")):
-        chunks = islice(oracle._class_chunks(fc, 5, 1 << 10), 2)  # 32 frames each
+        chunks = islice(_class_chunks(fc, 5, 1 << 10), 2)  # 32 frames each
         got = [c.mask(t) for c in chunks for t in range(c.live)]
         want = list(islice((m for m in range(1 << 16) if fc.contains(frame_of_mask(5, m))), len(got)))
         assert len(got) == 64 and got == want
@@ -690,8 +697,8 @@ def test_witnesses_in_later_and_padded_chunks(monkeypatch):
     functional, euclidean = frame_class("partial-functional"), frame_class("euclidean")
     # partial-functional masks 0 1 2 4 | 5 6 8 9 | 10 + 3 padding slots;
     # euclidean masks 0 1 5 8 | 9 10 15 + 1 padding slot.
-    assert [c.live for c in oracle._class_chunks(functional, 2, 4)] == [4, 4, 1]
-    assert [c.live for c in oracle._class_chunks(euclidean, 2, 4)] == [4, 3]
+    assert [c.live for c in _class_chunks(functional, 2, 4)] == [4, 4, 1]
+    assert [c.live for c in _class_chunks(euclidean, 2, 4)] == [4, 3]
     cases = [
         (functional, "B B ~W p", 6),  # slot 1 of the second chunk
         (euclidean, "B FI ~IR p", 15),  # slot 2 of the padded last chunk
@@ -706,7 +713,7 @@ def test_witnesses_in_later_and_padded_chunks(monkeypatch):
         else:
             assert report.witness[0].frame == frame_of_mask(2, mask)
     # The padding slots (complete frames) do falsify B p | B ~p.
-    last = FrameEvaluator(list(oracle._class_chunks(functional, 2, 4))[-1], ("p",))
+    last = FrameEvaluator(list(_class_chunks(functional, 2, 4))[-1], ("p",))
     f = parse("B p | B ~p")
     assert last.columns(f) != last.full and last.valid(f)
 
@@ -752,7 +759,7 @@ def test_canonical_circuit_keeps_the_least_mask_of_each_isomorphism_class():
     # The first 5-state block (masks below 2^16) as the search packs it.
     # Each row of 5 edge bits is relabelled by a table; below 2^16, row 3
     # holds at most bit 15 and row 4 nothing.
-    members, lack = next(oracle._class_blocks(ALL_FRAMES, 5, canonical=True))
+    members, lack, _ = next(oracle._class_blocks(ALL_FRAMES, 5, canonical=True))
     assert members == (1 << (1 << 16)) - 1
     got = [sum(1 << e for e, d in enumerate(lack) if d[-1 - t] == "0") for t in range(len(lack[0]))]
     least = list(range(1 << 16))
@@ -771,8 +778,8 @@ def test_reduced_search_streams_five_state_blocks_without_canonical_frames():
     symmetric = frame_class("symmetric")
     for k, classes in zip(range(1, 6), (2, 6, 20, 90, 544)):
         blocks = list(oracle._class_blocks(symmetric, k, canonical=True))
-        assert sum(len(lack[0]) for _, lack in blocks) == classes
-    assert sum(not lack[0] for _, lack in blocks) > 0
+        assert sum(len(lack[0]) for _, lack, _ in blocks) == classes
+    assert sum(not lack[0] for _, lack, _ in blocks) > 0
     report = valid_on(parse("B T"), symmetric, SearchBudget(max_states=5))
     assert (report.verdict, report.frames_examined) == (NO_COUNTERMODEL, 2 + 8 + 64 + 1024 + 32768)
 
@@ -808,7 +815,7 @@ def _labeled_search(f, fc, budget):
     frames = models = 0
     for k in range(1, budget.max_states + 1):
         valuations = 1 << (k * len(atoms))
-        for chunk in oracle._class_chunks(fc, k, valuations):
+        for chunk in _class_chunks(fc, k, valuations):
             ev = FrameEvaluator(chunk, atoms)
             row = ev.least_row(ev.full ^ ev.columns(f))
             seen = chunk.live if row is None else row[0] % chunk.slots + 1
@@ -833,13 +840,31 @@ def test_reduced_search_matches_the_labeled_search_at_four_states():
         assert got == want, bits
 
 
+def test_search_counts_do_not_depend_on_the_blocks(monkeypatch):
+    # Blocks of 16 masks put the 3-state frames in 32 blocks, whose high
+    # edge columns are constant, as 5-state blocks are streamed.  The
+    # transitive witness of the first axiom lies at mask 38, in the third.
+    budget = SearchBudget(max_states=3)
+    axioms = ("W q -> W ((W r -> W (p & r)) & q)", "W p -> ~p")
+    cases = [(parse(t), frame_class(c)) for t in axioms for c in ("all", "transitive", "serial")]
+    want = [valid_on(f, fc, budget) for f, fc in cases]
+    assert want[1].witness[0].frame == frame_of_mask(3, 38)
+    oracle._class_blocks_cached.cache_clear()
+    monkeypatch.setattr(oracle, "_BLOCK_BITS", 4)
+    try:
+        assert len(oracle._blocks(ALL_FRAMES, 3)) == 32
+        assert [_summary(valid_on(f, fc, budget)) for f, fc in cases] == list(map(_summary, want))
+    finally:
+        oracle._class_blocks_cached.cache_clear()
+
+
 def test_canonical_witnesses_in_later_and_padded_chunks(monkeypatch):
     # 2-state frames over one atom come 4 to a chunk, and the search packs
     # the 10 canonical masks: 0 1 2 3 | 5 6 7 9 | 11 15 + 2 padding slots.
     # Masks 4, 8, 10, 12, 13 and 14 are relabellings of smaller ones.
     monkeypatch.setattr(oracle, "_CHUNK_BITS", 64)
     budget = SearchBudget(max_states=2, atoms=("p",))
-    (members, lack), = oracle._blocks(ALL_FRAMES, 2, canonical=True)
+    (members, lack, _), = oracle._blocks(ALL_FRAMES, 2, canonical=True)
     chunks = list(oracle._pack(2, lack, 4))
     assert [[c.mask(t) for t in range(c.live)] for c in chunks] == [[0, 1, 2, 3], [5, 6, 7, 9], [11, 15]]
     cases = [

@@ -133,9 +133,26 @@ MUTANTS = [
         BATTERIES,
     ),
     # The one battery loop and its first-failure rule.
-    ("battery-counts-padding", ORACLE, "sum(counts[: chunk.live])", "sum(counts[: chunk.slots])", BATTERIES),
     ("battery-tie-to-later-slot", ORACLE, "row[0] % self.slots < best[0]", "row[0] % self.slots <= best[0]", BATTERIES),
-    ("battery-failing-item-uncounted", ORACLE, "failure[1] + 1, failure[2]", "failure[1], failure[2]", BATTERIES),
+    ("battery-failing-item-uncounted", ORACLE, "checked + n + 1, text", "checked + n, text", BATTERIES),
+    # Labeled items counted by circuits over a block's edge columns.
+    ("cone-reach-one-round-short", TRANSFORM, "for _ in range(k - 1):", "for _ in range(k - 2):", BATTERIES),
+    (
+        "submodel-items-need-every-property",
+        TRANSFORM,
+        "reduce(or_, (frame_class(p).members(x, members)",
+        "reduce(and_, (frame_class(p).members(x, members)",
+        BATTERIES,
+    ),
+    ("members-below-include-the-mask", ORACLE, "members & ((1 << low) - 1)", "members & ((1 << (low + 1)) - 1)", BATTERIES),
+    (
+        "battery-weighs-the-canonical-frames",
+        ORACLE,
+        "checked += _weigh(weights, members)",
+        # the frames packed for checking, the canonical members, in place of all members
+        "checked += _weigh(weights, sum(1 << c.mask(t) % (1 << _BLOCK_BITS) for c in _pack(k, lack, 1) for t in range(c.live)))",
+        BATTERIES,
+    ),
 ]
 
 
